@@ -33,7 +33,7 @@ from .errors import (
     RestrictionUndefined,
     UnsupportedVersion,
 )
-from .products import Incompatible, ProductMode, product_triple, verify_product
+from .products import Incompatible, ProductMode, verify_product
 from .signcalc import (
     MATRIX_REPRESENTATIVES,
     additivity_scan,
@@ -301,10 +301,9 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
     wrote = None
     if v.matrix_signs is not None and args.out:
-        product = product_triple(t1, t2, mode)
         meta = {"generator": "product", "mode": mode.value,
                 "sigma1": str(v.sigma1), "sigma2": str(v.sigma2)}
-        Path(args.out).write_bytes(serialize_triple(product, meta))
+        Path(args.out).write_bytes(serialize_triple(v.product, meta))
         wrote = args.out
 
     if args.json:

@@ -1,14 +1,19 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact sparse linear algebra over the Gaussian rationals.
 
 Entries are complex numbers with rational real and imaginary parts,
 held in canonical lowest terms by ``fractions.Fraction``.  Equality is
 structural, every value is immutable, and nothing in this module (or
 anywhere else in the package) ever touches a float.
 
-The sizes involved are tiny (matrices up to 256 x 256), so the matrix
-product is a plain triple loop with zero-skipping; the representations
-built on top of this module are extremely sparse, which makes the skip
-worthwhile.
+An ``ExactMatrix`` stores only its nonzero entries: one tuple per row of
+``(column, value)`` pairs in increasing column order, and a zero is never
+stored.  That form is canonical, so equality and hashing compare the
+stored rows directly, and every kernel costs time in proportion to the
+nonzeros it touches.  The product is Gustavson's row-by-row method and
+rank is Gaussian elimination on sparse rows.  The matrices the Clifford
+layer builds are monomial (one nonzero per row), where both are linear
+in the dimension.  ``entries``, ``entry`` and ``row`` give the dense view
+that serialization and display read.
 """
 
 from __future__ import annotations
@@ -83,10 +88,14 @@ class GaussianRational:
 
     def __mul__(self, other: Scalarish) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        # Matrix entries are mostly real or imaginary units, so skip the
+        # Fraction products that are known to vanish.
+        if not b:
+            return GaussianRational(a * c, a * d if d else _F0)
+        if not d:
+            return GaussianRational(a * c if a else _F0, b * c)
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -104,6 +113,9 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def conjugate(self) -> "GaussianRational":
+        # A real value is its own conjugate, and values are immutable.
+        if not self.im:
+            return self
         return GaussianRational(self.re, -self.im)
 
     def __str__(self) -> str:
@@ -123,89 +135,177 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(_F1)
-GR_MINUS_ONE = GaussianRational(Fraction(-1))
 GR_I = GaussianRational(_F0, _F1)
 
+#: One sparse row: (column, nonzero value) pairs in increasing column order.
+SparseRow = tuple[tuple[int, GaussianRational], ...]
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 1 or cols < 1:
+        raise DimensionMismatch(f"matrix shape must be positive, got {rows}x{cols}")
+
+
+def _canonical(acc: dict[int, GaussianRational]) -> SparseRow:
+    """The sparse row of a column -> value map, dropping cancelled zeros."""
+    return tuple(sorted((j, v) for j, v in acc.items() if v))
+
+
+def _row_sum(a: SparseRow, b: SparseRow, subtract: bool) -> SparseRow:
+    """The sparse row a + b, or a - b."""
+    if not b:
+        return a
+    acc = dict(a)
+    for j, y in b:
+        x = acc.get(j)
+        if x is None:
+            acc[j] = -y if subtract else y
+        else:
+            acc[j] = x - y if subtract else x + y
+    return _canonical(acc)
+
+
 class ExactMatrix:
-    """An immutable rows x cols matrix of Gaussian rationals, row-major."""
+    """An immutable rows x cols matrix of Gaussian rationals, stored as sparse rows.
+
+    ``ExactMatrix(rows, cols, entries)`` takes the dense row-major entries
+    and keeps only the nonzeros; ``sparse_rows`` holds them.
+    """
+
+    __slots__ = ("rows", "cols", "sparse_rows")
 
     rows: int
     cols: int
-    entries: tuple[GaussianRational, ...]
+    sparse_rows: tuple[SparseRow, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionMismatch(f"matrix shape must be positive, got {self.rows}x{self.cols}")
-        ents = tuple(GaussianRational.coerce(e) for e in self.entries)
-        if len(ents) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: Iterable[Scalarish]) -> None:
+        _check_shape(rows, cols)
+        ents = tuple(entries)
+        if len(ents) != rows * cols:
             raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(ents)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(ents)}"
             )
-        object.__setattr__(self, "entries", ents)
+        coerce = GaussianRational.coerce
+        data = []
+        for i in range(rows):
+            row = []
+            for j, x in enumerate(ents[i * cols:(i + 1) * cols]):
+                if x is GR_ZERO:  # what the dense views and the parser fill in
+                    continue
+                v = coerce(x)
+                if v:
+                    row.append((j, v))
+            data.append(tuple(row))
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "sparse_rows", tuple(data))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, sparse_rows: tuple[SparseRow, ...]) -> "ExactMatrix":
+        """Wrap sparse rows that are already canonical, without checking them."""
+        m = object.__new__(cls)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "sparse_rows", sparse_rows)
+        return m
+
+    def __reduce__(self):
+        return (ExactMatrix._of, (self.rows, self.cols, self.sparse_rows))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ExactMatrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ExactMatrix is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.sparse_rows == other.sparse_rows)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.sparse_rows))
+
+    def __repr__(self) -> str:
+        return f"ExactMatrix({self.rows}, {self.cols}, sparse_rows={self.sparse_rows!r})"
 
     # --- construction -------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalarish]]) -> "ExactMatrix":
+        """Build from dense rows, keeping only the nonzeros."""
         r = len(rows)
         if r == 0:
             raise DimensionMismatch("matrix needs at least one row")
         c = len(rows[0])
-        flat: list[GaussianRational] = []
+        flat: list[Scalarish] = []
         for row in rows:
             if len(row) != c:
                 raise DimensionMismatch("ragged rows")
-            flat.extend(GaussianRational.coerce(x) for x in row)
-        return cls(r, c, tuple(flat))
+            flat.extend(row)
+        return cls(r, c, flat)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, tuple(GR_ONE if i == j else GR_ZERO for i in range(n) for j in range(n)))
+        _check_shape(n, n)
+        return cls._of(n, n, tuple(((i, GR_ONE),) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, (GR_ZERO,) * (rows * cols))
+        _check_shape(rows, cols)
+        return cls._of(rows, cols, ((),) * rows)
 
-    @classmethod
-    def basis_column(cls, n: int, j: int) -> "ExactMatrix":
-        """The j-th standard basis vector (0-indexed) as an n x 1 column."""
-        return cls(n, 1, tuple(GR_ONE if i == j else GR_ZERO for i in range(n)))
+    # --- dense views --------------------------------------------------------
 
-    # --- access ---------------------------------------------------------
+    @property
+    def entries(self) -> tuple[GaussianRational, ...]:
+        """All entries, row-major; built on each call and not kept."""
+        return tuple(v for i in range(self.rows) for v in self.row(i))
 
     def entry(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i * self.cols + j]
+        for c, v in self.sparse_rows[i]:
+            if c >= j:
+                return v if c == j else GR_ZERO
+        return GR_ZERO
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        out = [GR_ZERO] * self.cols
+        for j, v in self.sparse_rows[i]:
+            out[j] = v
+        return tuple(out)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.sparse_rows)
 
     # --- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other, "add")
-        return ExactMatrix(self.rows, self.cols,
-                           tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return ExactMatrix._of(self.rows, self.cols, tuple(
+            _row_sum(a, b, False) for a, b in zip(self.sparse_rows, other.sparse_rows)))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other, "subtract")
-        return ExactMatrix(self.rows, self.cols,
-                           tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return ExactMatrix._of(self.rows, self.cols, tuple(
+            _row_sum(a, b, True) for a, b in zip(self.sparse_rows, other.sparse_rows)))
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return ExactMatrix._of(self.rows, self.cols, tuple(
+            tuple((j, -v) for j, v in row) for row in self.sparse_rows))
 
     def scaled(self, s: Scalarish) -> "ExactMatrix":
         c = GaussianRational.coerce(s)
-        return ExactMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        if not c:
+            return ExactMatrix.zeros(self.rows, self.cols)
+        return ExactMatrix._of(self.rows, self.cols, tuple(
+            tuple((j, c * v) for j, v in row) for row in self.sparse_rows))
 
     def __mul__(self, s: Scalarish) -> "ExactMatrix":
         return self.scaled(s)
@@ -213,56 +313,45 @@ class ExactMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Gustavson's product: row i of the result sums x * (row t of other)
+        over the nonzeros (t, x) of row i of this matrix."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out: list[GaussianRational] = []
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc_re = _F0
-                acc_im = _F0
-                for t in range(k):
-                    x = arow[t]
-                    if not (x.re or x.im):
-                        continue
-                    y = b[t * m + j]
-                    if not (y.re or y.im):
-                        continue
-                    acc_re += x.re * y.re - x.im * y.im
-                    acc_im += x.re * y.im + x.im * y.re
-                out.append(GaussianRational(acc_re, acc_im))
-        return ExactMatrix(n, m, tuple(out))
+        b = other.sparse_rows
+        out = []
+        for arow in self.sparse_rows:
+            acc: dict[int, GaussianRational] = {}
+            for t, x in arow:
+                for j, y in b[t]:
+                    p = x * y
+                    q = acc.get(j)
+                    acc[j] = p if q is None else q + p
+            out.append(_canonical(acc))
+        return ExactMatrix._of(self.rows, other.cols, tuple(out))
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, blocks ordered row-major by this matrix."""
-        rr, cc = other.rows, other.cols
-        rows_out, cols_out = self.rows * rr, self.cols * cc
-        out = [GR_ZERO] * (rows_out * cols_out)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                x = self.entry(i, j)
-                if not x:
-                    continue
-                for s in range(rr):
-                    base = (i * rr + s) * cols_out + j * cc
-                    orow = other.row(s)
-                    for t in range(cc):
-                        y = orow[t]
-                        if y:
-                            out[base + t] = x * y
-        return ExactMatrix(rows_out, cols_out, tuple(out))
+        cc = other.cols
+        b = other.sparse_rows
+        out = tuple(
+            tuple((j * cc + t, x * y) for j, x in arow for t, y in brow)
+            for arow in self.sparse_rows for brow in b
+        )
+        return ExactMatrix._of(self.rows * other.rows, self.cols * cc, out)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)))
+        cols: list[list[tuple[int, GaussianRational]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row:
+                cols[j].append((i, v))
+        return ExactMatrix._of(self.cols, self.rows, tuple(map(tuple, cols)))
 
     def conj(self) -> "ExactMatrix":
         """Entrywise complex conjugate."""
-        return ExactMatrix(self.rows, self.cols, tuple(a.conjugate() for a in self.entries))
+        return ExactMatrix._of(self.rows, self.cols, tuple(
+            tuple((j, v.conjugate()) for j, v in row) for row in self.sparse_rows))
 
     def dagger(self) -> "ExactMatrix":
         """Conjugate transpose."""
@@ -270,8 +359,22 @@ class ExactMatrix:
 
     # --- predicates ---------------------------------------------------------
 
+    def _scalar_multiple(self) -> GaussianRational | None:
+        """c when this matrix is c times the identity, else None."""
+        if not self.is_square:
+            return None
+        rows = self.sparse_rows
+        if not rows[0]:
+            return GR_ZERO if self.is_zero() else None
+        c = rows[0][0][1]
+        for i, row in enumerate(rows):
+            if len(row) != 1 or row[0][0] != i or row[0][1] != c:
+                return None
+        return c
+
     def is_identity(self) -> bool:
-        return self.is_square and self == ExactMatrix.identity(self.rows)
+        c = self._scalar_multiple()
+        return c is not None and c == GR_ONE
 
     def is_hermitian(self) -> bool:
         return self.is_square and self == self.dagger()
@@ -286,7 +389,7 @@ class ExactMatrix:
             )
 
     def __str__(self) -> str:
-        cells = [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
+        cells = [[str(e) for e in self.row(i)] for i in range(self.rows)]
         widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)]
         lines = []
         for i in range(self.rows):
@@ -295,31 +398,14 @@ class ExactMatrix:
         return "\n".join(lines)
 
 
-# --- operation-style aliases ---------------------------------------------------
-
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b
-
-
-def mat_kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a.kron(b)
-
-
-def mat_dagger(a: ExactMatrix) -> ExactMatrix:
-    return a.dagger()
-
-
-def mat_conj(a: ExactMatrix) -> ExactMatrix:
-    return a.conj()
-
-
 def as_sign_times_identity(m: ExactMatrix) -> int | None:
     """Return +1 or -1 when m is that sign times the identity, else None."""
-    if not m.is_square:
+    c = m._scalar_multiple()
+    if c is None:
         return None
-    if m.is_identity():
+    if c == 1:
         return 1
-    if (-m).is_identity():
+    if c == -1:
         return -1
     return None
 
@@ -327,32 +413,37 @@ def as_sign_times_identity(m: ExactMatrix) -> int | None:
 # --- rank over the Gaussian rationals ----------------------------------------
 
 def rank(m: ExactMatrix) -> int:
-    """Rank by exact Gaussian elimination.
+    """Rank by exact Gaussian elimination on sparse rows.
 
     Pivots are chosen deterministically: columns left to right, and within
     a column the first row (top to bottom) with a nonzero entry.
     """
-    grid = [list(m.row(i)) for i in range(m.rows)]
+    grid = [dict(row) for row in m.sparse_rows]
+    nrows = m.rows
     r = 0
     for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if grid[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        hits = [i for i in range(r, nrows) if c in grid[i]]
+        if not hits:
             continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        pivot = grid[r][c]
-        for i in range(r + 1, m.rows):
-            if grid[i][c]:
-                factor = grid[i][c] / pivot
-                row_i = grid[i]
-                row_r = grid[r]
-                for j in range(c, m.cols):
-                    row_i[j] = row_i[j] - factor * row_r[j]
+        # The rows above r are pivots, and the rows from r on hold no
+        # column left of c, so the pivot row has nothing left of c either.
+        p = hits[0]
+        grid[r], grid[p] = grid[p], grid[r]
+        prow = grid[r]
+        pivot = prow[c]
+        for i in hits[1:]:
+            row = grid[i]
+            factor = row[c] / pivot
+            for j, v in prow.items():
+                x = row.get(j)
+                y = factor * v
+                x = -y if x is None else x - y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
         r += 1
-        if r == m.rows:
+        if r == nrows:
             break
     return r
 
@@ -398,10 +489,11 @@ class Antiunitary:
         return Antiunitary(self.k @ u.conj())
 
 
-def _re_im(m: ExactMatrix) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    re = [[m.entry(i, j).re for j in range(m.cols)] for i in range(m.rows)]
-    im = [[m.entry(i, j).im for j in range(m.cols)] for i in range(m.rows)]
-    return re, im
+def _parts(row: SparseRow, i: int, shift: Fraction) -> tuple[dict, dict]:
+    """Real and imaginary parts of row i of a square matrix, plus shift at (i, i)."""
+    re = {t: v.re for t, v in row}
+    re[i] = re.get(i, _F0) + shift
+    return re, {t: v.im for t, v in row}
 
 
 def _fixed_point_system(j: Antiunitary, fixed_ops: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -412,24 +504,35 @@ def _fixed_point_system(j: Antiunitary, fixed_ops: Sequence[ExactMatrix]) -> Exa
     Each additional linear constraint M = P + i Q contributes
     (P - I) x - Q y = 0 and Q x + (P - I) y = 0.  All blocks are real, so
     the kernel dimension over the rationals is the real dimension sought.
+    Rows come block by block in that order: n rows for each equation.
     """
     n = j.dim
-    a, b = _re_im(j.k)
-    rows: list[list[Fraction]] = []
-    for i in range(n):
-        rows.append([a[i][t] - (_F1 if t == i else _F0) for t in range(n)] + b[i])
-    for i in range(n):
-        rows.append(b[i] + [-(a[i][t] + (_F1 if t == i else _F0)) for t in range(n)])
+
+    def joined(left: dict, right: dict, negate_right: bool) -> SparseRow:
+        """The row [left | right] (or [left | -right]) of the real system."""
+        row = [(t, GaussianRational(x)) for t, x in sorted(left.items()) if x]
+        row += [(n + t, GaussianRational(-x if negate_right else x))
+                for t, x in sorted(right.items()) if x]
+        return tuple(row)
+
+    blocks: list[list[SparseRow]] = [[], []]
+    for i, krow in enumerate(j.k.sparse_rows):
+        a_minus, b = _parts(krow, i, -_F1)
+        a_plus, _ = _parts(krow, i, _F1)
+        blocks[0].append(joined(a_minus, b, False))
+        blocks[1].append(joined(b, a_plus, True))
     for m_op in fixed_ops:
         if m_op.rows != n or m_op.cols != n:
             raise DimensionMismatch("constraint operator shape does not match the antiunitary")
-        p, q = _re_im(m_op)
-        for i in range(n):
-            rows.append([p[i][t] - (_F1 if t == i else _F0) for t in range(n)]
-                        + [-q[i][t] for t in range(n)])
-        for i in range(n):
-            rows.append(q[i] + [p[i][t] - (_F1 if t == i else _F0) for t in range(n)])
-    return ExactMatrix.from_rows(rows)
+        first: list[SparseRow] = []
+        second: list[SparseRow] = []
+        for i, mrow in enumerate(m_op.sparse_rows):
+            p_minus, q = _parts(mrow, i, -_F1)
+            first.append(joined(p_minus, q, True))
+            second.append(joined(q, p_minus, False))
+        blocks += [first, second]
+    rows = tuple(row for block in blocks for row in block)
+    return ExactMatrix._of(len(rows), 2 * n, rows)
 
 
 def real_fixed_dim(j: Antiunitary) -> int:

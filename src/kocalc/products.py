@@ -33,6 +33,7 @@ from .errors import (
     IndefiniteSign,
     InvalidComponent,
     NoChirality,
+    NoTableMatch,
 )
 from .linalg import Antiunitary, ExactMatrix
 from .triples import (
@@ -152,18 +153,18 @@ def _fill_eps_prime_from_table(s: SignTriple) -> tuple[SignTriple, bool]:
 def _indefinite_witness(t: FiniteSpectralTriple) -> str:
     """A concrete vector on which J D differs from both +D J and -D J."""
     k, d = t.real_structure.k, t.dirac
-    plus = k @ d.conj() - d @ k    # zero iff J and D commute
-    minus = k @ d.conj() + d @ k   # zero iff they anticommute
-    n = t.dim
+    jd, dj = k @ d.conj(), d @ k
 
-    def col_nonzero(m: ExactMatrix, j: int) -> bool:
-        return any(m.entry(i, j) for i in range(n))
+    def nonzero_columns(m: ExactMatrix) -> set[int]:
+        return {j for row in m.sparse_rows for j, _v in row}
 
-    for j in range(n):
-        if col_nonzero(plus, j) and col_nonzero(minus, j):
-            return f"basis vector e{j}: (JD - DJ)e{j} != 0 and (JD + DJ)e{j} != 0"
-    j_plus = next(j for j in range(n) if col_nonzero(plus, j))
-    j_minus = next(j for j in range(n) if col_nonzero(minus, j))
+    plus = nonzero_columns(jd - dj)    # empty iff J and D commute
+    minus = nonzero_columns(jd + dj)   # empty iff they anticommute
+    both = plus & minus
+    if both:
+        j = min(both)
+        return f"basis vector e{j}: (JD - DJ)e{j} != 0 and (JD + DJ)e{j} != 0"
+    j_plus, j_minus = min(plus), min(minus)
     # The two column supports are disjoint here, so the sum cannot cancel.
     return (
         f"vector e{j_plus} + e{j_minus}: (JD - DJ)v != 0 and (JD + DJ)v != 0"
@@ -187,6 +188,8 @@ class ProductVerification:
     status: str  # confirmed-compatible | confirmed-incompatible | not-falsifiable | disagreement
     agreement: bool
     product_dim: int
+    #: the product triple that was measured, kept so a caller can write it
+    product: FiniteSpectralTriple = field(repr=False, compare=False)
     notes: tuple[str, ...] = field(default=())
 
 
@@ -242,7 +245,7 @@ def verify_product(
     if matrix_signs is not None:
         try:
             matrix_ko = ko_from_signs(matrix_signs, "even")
-        except Exception:  # NoTableMatch: recorded as None
+        except NoTableMatch:  # recorded as None
             notes.append(f"matrix signs {matrix_signs} match no table row")
 
     if isinstance(prediction, SignTriple):
@@ -288,5 +291,6 @@ def verify_product(
         status=status,
         agreement=agreement,
         product_dim=product.dim,
+        product=product,
         notes=tuple(notes),
     )

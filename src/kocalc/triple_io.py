@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import InvalidTriple, ParseError, UnsupportedVersion
-from .linalg import Antiunitary, ExactMatrix, GaussianRational
+from .linalg import GR_ZERO, Antiunitary, ExactMatrix, GaussianRational
 from .triples import FiniteSpectralTriple, validate_triple
 
 SCHEMA_VERSION = 1
@@ -44,15 +44,27 @@ def str_to_rational(s: Any, location: str) -> Fraction:
     return Fraction(s)
 
 
+#: how a zero entry is written (handed out only as copies)
+_ZERO_CELL = {"re": "0", "im": "0"}
+
+
 def _matrix_to_block(m: ExactMatrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [
-            {"re": rational_to_str(e.re), "im": rational_to_str(e.im)}
-            for e in m.entries
-        ],
-    }
+    cells = [dict(_ZERO_CELL) for _ in range(m.rows * m.cols)]
+    for i, row in enumerate(m.sparse_rows):
+        for j, e in row:
+            cells[i * m.cols + j] = {"re": rational_to_str(e.re), "im": rational_to_str(e.im)}
+    return {"rows": m.rows, "cols": m.cols, "entries": cells}
+
+
+def _is_int(x: Any) -> bool:
+    """A JSON integer; JSON booleans load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _positive_int(x: Any, name: str, location: str) -> int:
+    if not _is_int(x) or x < 1:
+        raise ParseError(f"{name} must be a positive integer", location)
+    return x
 
 
 def _block_to_matrix(obj: Any, location: str) -> ExactMatrix:
@@ -64,9 +76,8 @@ def _block_to_matrix(obj: Any, location: str) -> ExactMatrix:
     extra = set(obj) - {"rows", "cols", "entries"}
     if extra:
         raise ParseError(f"matrix block has unknown keys {sorted(extra)}", location)
-    rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
-        raise ParseError("rows and cols must be positive integers", location)
+    rows = _positive_int(obj["rows"], "rows", f"{location}.rows")
+    cols = _positive_int(obj["cols"], "cols", f"{location}.cols")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError(
@@ -74,6 +85,9 @@ def _block_to_matrix(obj: Any, location: str) -> ExactMatrix:
         )
     parsed = []
     for idx, ent in enumerate(entries):
+        if ent == _ZERO_CELL:
+            parsed.append(GR_ZERO)
+            continue
         here = f"{location}.entries[{idx}]"
         if not isinstance(ent, dict) or set(ent) != {"re", "im"}:
             raise ParseError("entry must be an object with exactly the keys 're' and 'im'", here)
@@ -140,14 +154,12 @@ def _document_from_json(obj: Any) -> TripleDocument:
         raise ParseError(f"unknown top-level keys {sorted(extra)}", "$")
 
     version = obj["schema_version"]
-    if not isinstance(version, int):
+    if not _is_int(version):
         raise ParseError("schema_version must be an integer", "schema_version")
     if version != SCHEMA_VERSION:
         raise UnsupportedVersion(f"schema version {version} is not supported (expected {SCHEMA_VERSION})")
 
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError("dim must be a positive integer", "dim")
+    dim = _positive_int(obj["dim"], "dim", "dim")
 
     dirac = _block_to_matrix(obj["dirac"], "dirac")
     chirality = None

@@ -55,7 +55,7 @@ class SignTriple:
     def __post_init__(self) -> None:
         for name in ("eps", "eps_prime", "eps_dprime"):
             v = getattr(self, name)
-            if v is not None and v not in (1, -1):
+            if v is not None and (isinstance(v, bool) or v not in (1, -1)):
                 raise ValueError(f"{name} must be +1, -1 or None, got {v!r}")
         if self.eps is None:  # pragma: no cover - eps has no None default
             raise ValueError("eps is required")
@@ -166,12 +166,15 @@ def _relation_sign(k: ExactMatrix, op: ExactMatrix) -> int | None:
     return None
 
 
-def _first_mismatch(a: ExactMatrix, b: ExactMatrix) -> str:
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a.entry(i, j) != b.entry(i, j):
-                return f"entry ({i},{j}): {a.entry(i, j)} != {b.entry(i, j)}"
-    return "no mismatch"
+def _mismatch(a: ExactMatrix, b: ExactMatrix) -> str | None:
+    """The first entry, in row-major order, where two same-shape matrices
+    differ, or None when they are equal."""
+    for i, (ra, rb) in enumerate(zip(a.sparse_rows, b.sparse_rows)):
+        if ra != rb:
+            da, db = dict(ra), dict(rb)
+            j = min(c for c in da.keys() | db.keys() if da.get(c) != db.get(c))
+            return f"entry ({i},{j}): {a.entry(i, j)} != {b.entry(i, j)}"
+    return None
 
 
 def validate_triple(t: FiniteSpectralTriple) -> ValidationReport:
@@ -190,22 +193,23 @@ def validate_triple(t: FiniteSpectralTriple) -> ValidationReport:
     if not shape_ok:
         return ValidationReport(tuple(checks))
 
-    add("dirac_hermitian", d.is_hermitian(), _first_mismatch(d, d.dagger()))
+    def add_equal(name: str, a: ExactMatrix, b: ExactMatrix, prefix: str = "") -> None:
+        witness = _mismatch(a, b)
+        add(name, witness is None, f"{prefix}{witness}")
+
+    add_equal("dirac_hermitian", d, d.dagger())
 
     if om is not None:
-        add("chirality_hermitian", om.is_hermitian(), _first_mismatch(om, om.dagger()))
-        add("chirality_involution", (om @ om).is_identity(),
-            _first_mismatch(om @ om, ExactMatrix.identity(t.dim)))
+        zero = ExactMatrix.zeros(t.dim, t.dim)
+        add_equal("chirality_hermitian", om, om.dagger())
+        add_equal("chirality_involution", om @ om, ExactMatrix.identity(t.dim))
         if d.is_zero():
             add("dirac_anticommutes_chirality", True, None)
         else:
-            anti = d @ om + om @ d
-            add("dirac_anticommutes_chirality", anti.is_zero(),
-                _first_mismatch(anti, ExactMatrix.zeros(t.dim, t.dim)))
+            add_equal("dirac_anticommutes_chirality", d @ om + om @ d, zero)
         for idx, a in enumerate(t.algebra_gens):
-            comm = om @ a - a @ om
-            add(f"chirality_commutes_gen_{idx}", comm.is_zero(),
-                f"[Omega, gen {idx}] != 0: " + _first_mismatch(comm, ExactMatrix.zeros(t.dim, t.dim)))
+            add_equal(f"chirality_commutes_gen_{idx}", om @ a - a @ om, zero,
+                      f"[Omega, gen {idx}] != 0: ")
 
     add("real_structure_unitary", k.is_unitary(), "K^dagger K != I")
 

@@ -1,9 +1,10 @@
-"""Independent test oracles built on sympy.
+"""Independent test oracles: sympy, and the dense kernels the package replaced.
 
 These deliberately re-derive results through a different formulation
-(sympy rational matrices and nullspaces instead of the package's own
-elimination) so that agreement between the two routes is meaningful.
-Nothing in the package imports this module.
+(sympy rational matrices and nullspaces, or dense triple loops over the
+``entries`` view instead of the package's sparse rows) so that agreement
+between the two routes is meaningful.  Nothing in the package imports
+this module.
 """
 
 from __future__ import annotations
@@ -14,6 +15,50 @@ from typing import Sequence
 import sympy
 
 from kocalc.linalg import ExactMatrix, GaussianRational
+
+_F0 = Fraction(0)
+
+
+def dense_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The matrix product as a plain triple loop over the dense entries."""
+    assert a.cols == b.rows
+    n, k, m = a.rows, a.cols, b.cols
+    ea, eb = a.entries, b.entries
+    out: list[GaussianRational] = []
+    for i in range(n):
+        for j in range(m):
+            acc_re = acc_im = _F0
+            for t in range(k):
+                x, y = ea[i * k + t], eb[t * m + j]
+                acc_re += x.re * y.re - x.im * y.im
+                acc_im += x.re * y.im + x.im * y.re
+            out.append(GaussianRational(acc_re, acc_im))
+    return ExactMatrix(n, m, out)
+
+
+def dense_rank(m: ExactMatrix) -> int:
+    """Rank by Gaussian elimination on a dense grid of the entries.
+
+    Same pivot rule as the package: columns left to right, and within a
+    column the first row (top to bottom) with a nonzero entry.
+    """
+    grid = [list(m.row(i)) for i in range(m.rows)]
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if grid[i][c]), None)
+        if pivot_row is None:
+            continue
+        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+        pivot = grid[r][c]
+        for i in range(r + 1, m.rows):
+            if grid[i][c]:
+                factor = grid[i][c] / pivot
+                for j in range(c, m.cols):
+                    grid[i][j] = grid[i][j] - factor * grid[r][j]
+        r += 1
+        if r == m.rows:
+            break
+    return r
 
 
 def to_sympy(m: ExactMatrix) -> sympy.Matrix:

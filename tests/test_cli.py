@@ -1,9 +1,15 @@
 """Command-line behaviour: exit codes, output channels, JSON mode."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kocalc.cli as cli_module
+import kocalc.products as products_module
 from kocalc.cli import run_cli
 
 
@@ -155,6 +161,25 @@ def test_product_compatible_writes_output(triple_files, tmp_path, capsys):
     assert "KO dimension: 6" in text
 
 
+def test_product_out_builds_the_product_once(triple_files, tmp_path, capsys, monkeypatch):
+    a = triple_files(4, 0, "gamma1")
+    b = triple_files(2, 0, "gamma1")
+    built = []
+    original = products_module.product_triple
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    # count a build through any binding the CLI might hold as well
+    monkeypatch.setattr(products_module, "product_triple", counting)
+    monkeypatch.setattr(cli_module, "product_triple", counting, raising=False)
+    out = tmp_path / "prod.json"
+    code, _, _ = run(capsys, "product", "--mode", "natural", a, b, "--out", str(out))
+    assert code == 0 and out.exists()
+    assert len(built) == 1
+
+
 def test_product_incompatible_exits_1(triple_files, tmp_path, capsys):
     a = triple_files(2, 0, "gamma1")
     out = tmp_path / "prod.json"
@@ -270,3 +295,18 @@ def test_scan_json(capsys):
     assert doc["compatible_cells"] == 24
     assert doc["all_consistent"] is True
     assert len(doc["matrix_cells"]) == 32
+
+
+# --- python -m kocalc ------------------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "kocalc", "classify", "--p", "1", "--q", "3", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["sigma"] == 6

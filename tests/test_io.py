@@ -124,6 +124,25 @@ def test_wrong_schema_version():
         _parse(doc)
 
 
+@pytest.mark.parametrize("path,location", [
+    (("schema_version",), "schema_version"),
+    (("dim",), "dim"),
+    (("dirac", "rows"), "dirac.rows"),
+    (("chirality", "cols"), "chirality.cols"),
+])
+def test_boolean_integers_rejected(path, location):
+    # JSON true loads as a bool, which Python counts as the int 1
+    doc = _valid_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = True
+    with pytest.raises(ParseError) as err:
+        _parse(doc)
+    assert err.value.location == location
+    assert path[-1] in str(err.value)
+
+
 def test_missing_and_unknown_keys():
     doc = _valid_doc()
     del doc["dim"]

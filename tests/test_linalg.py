@@ -1,8 +1,11 @@
 """Exact scalar and matrix arithmetic, rank/kernel, antiunitary fixed spaces."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +13,7 @@ from kocalc.errors import DimensionMismatch, NotInvolutive
 from kocalc.linalg import (
     GR_I,
     GR_ONE,
+    GR_ZERO,
     Antiunitary,
     ExactMatrix,
     GaussianRational,
@@ -19,7 +23,7 @@ from kocalc.linalg import (
     real_fixed_dim_constrained,
 )
 
-from oracles import sympy_rank, sympy_real_fixed_dim
+from oracles import dense_matmul, dense_rank, sympy_rank, sympy_real_fixed_dim, to_sympy
 
 # --- scalar arithmetic -------------------------------------------------------
 
@@ -159,6 +163,124 @@ def test_identity_predicates():
 def test_scaled_and_rmul():
     assert SIGMA_X.scaled(GR_I) == mat([[0, GR_I], [GR_I, 0]])
     assert 2 * SIGMA_Z == SIGMA_Z.scaled(GaussianRational(2))
+
+
+# --- sparse storage against the dense and sympy oracles ------------------------
+
+
+def assert_canonical(m):
+    """Rows hold nonzero values at strictly increasing in-range columns."""
+    assert len(m.sparse_rows) == m.rows
+    for row in m.sparse_rows:
+        cols = [j for j, _v in row]
+        assert cols == sorted(set(cols))
+        assert all(0 <= j < m.cols for j in cols)
+        assert all(isinstance(v, GaussianRational) and v for _j, v in row)
+
+
+@st.composite
+def exact_matrices(draw, rows=None, cols=None):
+    """Rectangular Gaussian-rational matrices: all-zero, sparse or fully dense."""
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    cell = draw(st.sampled_from([
+        st.just(GR_ZERO),
+        st.one_of(st.just(GR_ZERO), st.just(GR_ZERO), small_entries),
+        small_entries.filter(bool),
+    ]))
+    cells = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    return ExactMatrix(rows, cols, cells)
+
+
+@st.composite
+def product_pairs(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(exact_matrices(n, k)), draw(exact_matrices(k, m))
+
+
+@settings(max_examples=60)
+@given(product_pairs())
+def test_matmul_matches_dense_and_sympy(pair):
+    a, b = pair
+    got = a @ b
+    assert_canonical(got)
+    assert got == dense_matmul(a, b)
+    assert to_sympy(got) == (to_sympy(a) * to_sympy(b)).expand()
+
+
+@settings(max_examples=40)
+@given(product_pairs())
+def test_cancelling_product_stores_no_zero(pair):
+    # [a | a] @ [b ; -b] = a b - a b: every term meets its negation
+    a, b = pair
+    twice = ExactMatrix.from_rows([list(a.row(i)) * 2 for i in range(a.rows)])
+    stacked = ExactMatrix.from_rows([list(b.row(t)) for t in range(b.rows)]
+                                    + [list((-b).row(t)) for t in range(b.rows)])
+    got = twice @ stacked
+    assert_canonical(got)
+    assert got.is_zero() and got == ExactMatrix.zeros(a.rows, b.cols)
+    assert got == dense_matmul(twice, stacked)
+
+
+@settings(max_examples=40)
+@given(exact_matrices(), exact_matrices())
+def test_kron_dagger_sum_match_sympy(a, b):
+    k = a.kron(b)
+    assert_canonical(k)
+    assert to_sympy(k) == sympy.kronecker_product(to_sympy(a), to_sympy(b)).expand()
+    d = a.dagger()
+    assert_canonical(d)
+    assert to_sympy(d) == to_sympy(a).H
+    for got, want in ((a + a, to_sympy(a) * 2), (a - a, sympy.zeros(a.rows, a.cols)),
+                      (-a, -to_sympy(a)), (a.scaled(0), sympy.zeros(a.rows, a.cols)),
+                      (a.scaled(GR_I), (to_sympy(a) * sympy.I).expand())):
+        assert_canonical(got)
+        assert to_sympy(got) == want
+
+
+@settings(max_examples=40)
+@given(exact_matrices(), exact_matrices())
+def test_equality_and_hash_follow_entries(a, b):
+    assert_canonical(a)
+    rebuilt = ExactMatrix(a.rows, a.cols, a.entries)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    same = (a.rows, a.cols, a.entries) == (b.rows, b.cols, b.entries)
+    assert (a == b) is same
+    if same:
+        assert hash(a) == hash(b)
+    assert a.entries == tuple(a.entry(i, j) for i in range(a.rows) for j in range(a.cols))
+    assert a.entries == sum((a.row(i) for i in range(a.rows)), ())
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products through an inner dimension of 1 or 2, below the outer sizes."""
+    n, m, k = draw(st.integers(3, 4)), draw(st.integers(3, 4)), draw(st.integers(1, 2))
+    return draw(matrices(n, k)) @ draw(matrices(k, m))
+
+
+@settings(max_examples=60)
+@given(st.one_of(exact_matrices(), low_rank_matrices()))
+def test_rank_matches_dense_elimination_and_sympy(m):
+    assert rank(m) == dense_rank(m) == sympy_rank(m)
+
+
+def test_dense_input_keeps_only_nonzeros():
+    m = ExactMatrix.from_rows([[0, 2, 0], [0, 0, 0], [GR_I, 0, Fraction(-1, 3)]])
+    assert m.sparse_rows == (
+        ((1, GaussianRational(2)),),
+        (),
+        ((0, GR_I), (2, GaussianRational(Fraction(-1, 3)))),
+    )
+    assert m.entry(1, 1) == 0 and m.entry(2, 2) == Fraction(-1, 3)
+
+
+def test_matrix_is_immutable_and_copies():
+    m = ExactMatrix.from_rows([[1, GR_I], [0, 2]])
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert twin == m and hash(twin) == hash(m)
 
 
 # --- rank and kernel ----------------------------------------------------------

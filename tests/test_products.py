@@ -3,7 +3,8 @@
 import pytest
 
 from kocalc.clifford import signature
-from kocalc.errors import IncompleteSigns, NoChirality
+import kocalc.products as products_module
+from kocalc.errors import IncompleteSigns, NoChirality, NoTableMatch
 from kocalc.linalg import Antiunitary, ExactMatrix, GaussianRational
 from kocalc.products import (
     Incompatible,
@@ -18,6 +19,7 @@ from kocalc.triples import (
     SignTriple,
     canonical_triple,
     extract_signs,
+    ko_from_signs,
     restrict_majorana_weyl,
     validate_triple,
 )
@@ -217,3 +219,38 @@ def test_eps_prime_evidence_notes():
     v = verify_product(rep_triple(2, 0), rep_triple(0, 2), ProductMode.MODIFIED)
     assert "component 2 has D = 0" in v.eps_prime_evidence
     assert any("table row" in n for n in v.notes)
+
+
+def _ko_failing_on_product(monkeypatch, error):
+    """Let the two component lookups through, then fail the product's lookup."""
+    calls = []
+
+    def lookup(signs, parity):
+        calls.append(signs)
+        if len(calls) > 2:
+            raise error
+        return ko_from_signs(signs, parity)
+
+    monkeypatch.setattr(products_module, "ko_from_signs", lookup)
+    return calls
+
+
+def test_product_lookup_no_table_match_is_recorded(monkeypatch):
+    calls = _ko_failing_on_product(monkeypatch, NoTableMatch("no row"))
+    v = verify_product(rep_triple(4, 0), rep_triple(2, 0), ProductMode.NATURAL)
+    assert len(calls) == 3
+    assert v.matrix_ko is None
+    assert any("match no table row" in n for n in v.notes)
+
+
+def test_product_lookup_other_errors_propagate(monkeypatch):
+    _ko_failing_on_product(monkeypatch, RuntimeError("broken lookup"))
+    with pytest.raises(RuntimeError, match="broken lookup"):
+        verify_product(rep_triple(4, 0), rep_triple(2, 0), ProductMode.NATURAL)
+
+
+def test_verification_keeps_the_measured_product():
+    t1, t2 = rep_triple(4, 0), rep_triple(2, 0)
+    v = verify_product(t1, t2, ProductMode.MODIFIED)
+    assert v.product == product_triple(t1, t2, ProductMode.MODIFIED)
+    assert v.product.dim == v.product_dim

@@ -58,6 +58,14 @@ def test_sign_triple_validation_and_rendering():
     assert str(SignTriple(1, None, -1)) == "(+1, ., -1)"
 
 
+def test_sign_triple_rejects_booleans():
+    # bool is a subclass of int and True == 1, so it needs its own check
+    with pytest.raises(ValueError):
+        SignTriple(True)
+    with pytest.raises(ValueError):
+        SignTriple(1, True, None)
+
+
 # --- canonical triples ------------------------------------------------------------
 
 
