@@ -3,9 +3,9 @@ import kocalc as kc
 # ### Exact scalars and matrices
 #
 # Everything in kocalc is computed over the Gaussian rationals: complex
-# numbers whose real and imaginary parts are exact `fractions.Fraction`
-# values.  There is no floating point anywhere, so every equality test
-# below is exact.
+# numbers whose real and imaginary parts are exact rationals, held as an
+# `int` when integral and as a `fractions.Fraction` otherwise.  There is
+# no floating point anywhere, so every equality test below is exact.
 
 i = kc.GaussianRational(0, 1)
 half = kc.GaussianRational.coerce(1) / 2

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -27,10 +26,7 @@ from .errors import OddDimensionUnsupported, RealStructureNotFound
 from .linalg import Antiunitary, ExactMatrix, GR_I, GaussianRational
 
 SIGMA_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
-SIGMA_Y = ExactMatrix.from_rows([
-    [GaussianRational(), GaussianRational(Fraction(0), Fraction(-1))],
-    [GaussianRational(Fraction(0), Fraction(1)), GaussianRational()],
-])
+SIGMA_Y = ExactMatrix.from_rows([[0, GaussianRational(0, -1)], [GR_I, 0]])
 SIGMA_Z = ExactMatrix.from_rows([[1, 0], [0, -1]])
 
 

@@ -1,8 +1,10 @@
 """Exact sparse linear algebra over the Gaussian rationals.
 
-Entries are complex numbers with rational real and imaginary parts,
-held in canonical lowest terms by ``fractions.Fraction``.  Equality is
-structural, every value is immutable, and nothing in this module (or
+Entries are complex numbers with rational real and imaginary parts.
+Each part is an ``int`` when it is integral and a lowest-terms
+``fractions.Fraction`` otherwise, so the units in {+-1, +-i} that fill
+every matrix the engine builds cost plain integer arithmetic.  Equality
+is structural, every value is immutable, and nothing in this module (or
 anywhere else in the package) ever touches a float.
 
 An ``ExactMatrix`` stores only its nonzero entries: one tuple per row of
@@ -27,28 +29,35 @@ from .errors import DimensionMismatch, NotInvolutive
 Rationalish = Union[int, Fraction]
 Scalarish = Union["GaussianRational", int, Fraction]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
-
-def _as_fraction(x: Rationalish) -> Fraction:
+def _part(x: Rationalish) -> Rationalish:
+    """The canonical form of one part: an int when integral, else a Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GaussianRational:
-    """A complex number a + b*i with a, b exact rationals."""
+    """A complex number a + b*i with a, b exact rationals.
 
-    re: Fraction = _F0
-    im: Fraction = _F0
+    Each part is an ``int`` when it is integral and a ``Fraction`` (never
+    with denominator 1) otherwise, so the units the engine builds cost
+    plain integer arithmetic.  ``int`` and the equal ``Fraction`` compare
+    and hash alike, and division goes through ``Fraction``, so no part is
+    ever a float.
+    """
+
+    re: Rationalish = 0
+    im: Rationalish = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+        if type(self.re) is int and type(self.im) is int:
+            return
+        object.__setattr__(self, "re", _part(self.re))
+        object.__setattr__(self, "im", _part(self.im))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussianRational):
@@ -58,7 +67,7 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Purely real values hash like their Fraction so that cross-type
+        # Purely real values hash like their real part so that cross-type
         # equality with int/Fraction keeps dict semantics sound.
         if not self.im:
             return hash(self.re)
@@ -68,7 +77,7 @@ class GaussianRational:
     def coerce(x: Scalarish) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        return GaussianRational(_as_fraction(x))
+        return GaussianRational(x)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -90,18 +99,18 @@ class GaussianRational:
         o = GaussianRational.coerce(other)
         a, b, c, d = self.re, self.im, o.re, o.im
         # Matrix entries are mostly real or imaginary units, so skip the
-        # Fraction products that are known to vanish.
+        # products that are known to vanish.
         if not b:
-            return GaussianRational(a * c, a * d if d else _F0)
+            return GaussianRational(a * c, a * d)
         if not d:
-            return GaussianRational(a * c if a else _F0, b * c)
+            return GaussianRational(a * c, b * c)
         return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalarish) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        n = o.re * o.re + o.im * o.im
+        n = Fraction(o.re * o.re + o.im * o.im)  # int / int would be a float
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(
@@ -134,8 +143,8 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(_F1)
-GR_I = GaussianRational(_F0, _F1)
+GR_ONE = GaussianRational(1)
+GR_I = GaussianRational(0, 1)
 
 #: One sparse row: (column, nonzero value) pairs in increasing column order.
 SparseRow = tuple[tuple[int, GaussianRational], ...]
@@ -322,6 +331,12 @@ class ExactMatrix:
         b = other.sparse_rows
         out = []
         for arow in self.sparse_rows:
+            if len(arow) == 1:
+                # x * y is never zero and b[t] is in column order, so the
+                # row needs neither an accumulator nor a sort.
+                (t, x), = arow
+                out.append(tuple((j, x * y) for j, y in b[t]))
+                continue
             acc: dict[int, GaussianRational] = {}
             for t, x in arow:
                 for j, y in b[t]:
@@ -489,10 +504,10 @@ class Antiunitary:
         return Antiunitary(self.k @ u.conj())
 
 
-def _parts(row: SparseRow, i: int, shift: Fraction) -> tuple[dict, dict]:
+def _parts(row: SparseRow, i: int, shift: int) -> tuple[dict, dict]:
     """Real and imaginary parts of row i of a square matrix, plus shift at (i, i)."""
     re = {t: v.re for t, v in row}
-    re[i] = re.get(i, _F0) + shift
+    re[i] = re.get(i, 0) + shift
     return re, {t: v.im for t, v in row}
 
 
@@ -517,8 +532,8 @@ def _fixed_point_system(j: Antiunitary, fixed_ops: Sequence[ExactMatrix]) -> Exa
 
     blocks: list[list[SparseRow]] = [[], []]
     for i, krow in enumerate(j.k.sparse_rows):
-        a_minus, b = _parts(krow, i, -_F1)
-        a_plus, _ = _parts(krow, i, _F1)
+        a_minus, b = _parts(krow, i, -1)
+        a_plus, _ = _parts(krow, i, 1)
         blocks[0].append(joined(a_minus, b, False))
         blocks[1].append(joined(b, a_plus, True))
     for m_op in fixed_ops:
@@ -527,7 +542,7 @@ def _fixed_point_system(j: Antiunitary, fixed_ops: Sequence[ExactMatrix]) -> Exa
         first: list[SparseRow] = []
         second: list[SparseRow] = []
         for i, mrow in enumerate(m_op.sparse_rows):
-            p_minus, q = _parts(mrow, i, -_F1)
+            p_minus, q = _parts(mrow, i, -1)
             first.append(joined(p_minus, q, True))
             second.append(joined(q, p_minus, False))
         blocks += [first, second]

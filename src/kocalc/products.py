@@ -40,8 +40,10 @@ from .triples import (
     EPSILON_TABLE,
     FiniteSpectralTriple,
     SignTriple,
+    ValidationReport,
     extract_signs,
     ko_from_signs,
+    validate_and_extract,
     validate_triple,
 )
 
@@ -59,15 +61,22 @@ class Incompatible:
 
 
 def product_triple(
-    t1: FiniteSpectralTriple, t2: FiniteSpectralTriple, mode: ProductMode
+    t1: FiniteSpectralTriple,
+    t2: FiniteSpectralTriple,
+    mode: ProductMode,
+    reports: tuple[ValidationReport, ValidationReport] | None = None,
 ) -> FiniteSpectralTriple:
-    """Build the tensor-product triple; both factors must be valid and even."""
+    """Build the tensor-product triple; both factors must be valid and even.
+
+    ``reports`` are the factors' ``validate_triple`` reports, for a caller
+    that has them already; without them each factor is validated here.
+    """
     if t1.chirality is None:
         raise NoChirality("first factor needs a chirality operator")
     if t2.chirality is None:
         raise NoChirality("second factor needs a chirality operator")
-    for which, t in (("first", t1), ("second", t2)):
-        report = validate_triple(t)
+    for idx, (which, t) in enumerate((("first", t1), ("second", t2))):
+        report = validate_triple(t) if reports is None else reports[idx]
         if not report.passed:
             names = ", ".join(c.name for c in report.failures)
             raise InvalidComponent(f"{which} factor fails validation: {names}")
@@ -205,8 +214,8 @@ def verify_product(
     the incompatibility is not falsifiable at matrix level; the report
     says so and records which component supplied the eps' evidence.
     """
-    s1 = extract_signs(t1)
-    s2 = extract_signs(t2)
+    report1, s1 = validate_and_extract(t1)
+    report2, s2 = validate_and_extract(t2)
     sigma1 = ko_from_signs(s1, "even")
     sigma2 = ko_from_signs(s2, "even")
 
@@ -230,7 +239,7 @@ def verify_product(
         evidence = "none (both component Dirac operators are 0)"
 
     prediction = predicted_signs(s1f, s2f, mode)
-    product = product_triple(t1, t2, mode)
+    product = product_triple(t1, t2, mode, (report1, report2))
     predicted_sigma = None if isinstance(prediction, Incompatible) else (sigma1 + sigma2) % 8
 
     matrix_signs: SignTriple | None

@@ -30,18 +30,26 @@ _TOP_KEYS = (
 )
 
 
-def rational_to_str(x: Fraction) -> str:
-    return str(x)
+def str_to_rational(s: Any, location: str) -> int | Fraction:
+    """A canonical rational string as an int when integral, else a Fraction.
 
-
-def str_to_rational(s: Any, location: str) -> Fraction:
+    Only the strings ``str`` of an int or a Fraction produces are accepted
+    (no sign on zero, no leading zeros, lowest terms, no denominator 1),
+    so a parsed document serializes back to the same bytes.
+    """
     if not isinstance(s, str):
         raise ParseError(f"rational must be a string, got {type(s).__name__}", location)
     if not _RATIONAL_RE.match(s):
         raise ParseError(f"malformed rational string {s!r}", location)
     if "/" in s and s.split("/")[1].lstrip("0") == "":
         raise ParseError(f"zero denominator in rational {s!r}", location)
-    return Fraction(s)
+    try:
+        x = Fraction(s) if "/" in s else int(s)
+    except ValueError as exc:  # e.g. more digits than int() converts
+        raise ParseError(f"malformed rational string {s!r}: {exc}", location) from exc
+    if str(x) != s:
+        raise ParseError(f"rational string {s!r} is not canonical (expected {str(x)!r})", location)
+    return x
 
 
 #: how a zero entry is written (handed out only as copies)
@@ -52,8 +60,33 @@ def _matrix_to_block(m: ExactMatrix) -> dict:
     cells = [dict(_ZERO_CELL) for _ in range(m.rows * m.cols)]
     for i, row in enumerate(m.sparse_rows):
         for j, e in row:
-            cells[i * m.cols + j] = {"re": rational_to_str(e.re), "im": rational_to_str(e.im)}
+            cells[i * m.cols + j] = {"re": str(e.re), "im": str(e.im)}
     return {"rows": m.rows, "cols": m.cols, "entries": cells}
+
+
+def _block_text(m: ExactMatrix, depth: int) -> str:
+    """``_matrix_to_block(m)`` as ``json.dumps(..., indent=2)`` writes it
+    ``depth`` levels deep.  Rational strings need no JSON escaping."""
+    pad = "\n" + "  " * depth
+    key_pad = pad + "  "
+    cell_pad = key_pad + "  "
+    part_pad = cell_pad + "  "
+
+    def cell(re: object, im: object) -> str:
+        return f'{{{part_pad}"re": "{re}",{part_pad}"im": "{im}"{cell_pad}}}'
+
+    zero = cell(0, 0)
+    cells: list[str] = []
+    for row in m.sparse_rows:
+        col = 0
+        for j, v in row:
+            cells += [zero] * (j - col)
+            cells.append(cell(v.re, v.im))
+            col = j + 1
+        cells += [zero] * (m.cols - col)
+    entries = f",{cell_pad}".join(cells)
+    return (f'{{{key_pad}"rows": {m.rows},{key_pad}"cols": {m.cols},'
+            f'{key_pad}"entries": [{cell_pad}{entries}{key_pad}]{pad}}}')
 
 
 def _is_int(x: Any) -> bool:
@@ -194,9 +227,27 @@ def _document_from_json(obj: Any) -> TripleDocument:
 def serialize_triple(
     t: FiniteSpectralTriple, metadata: Mapping[str, str] | None = None
 ) -> bytes:
+    """The document's bytes: exactly ``json.dumps(to_json_dict(), indent=2,
+    ensure_ascii=True)`` and a newline, written without the pure-Python
+    encoder that ``indent`` selects except for the small metadata object."""
     doc = TripleDocument.from_triple(t, metadata)
-    text = json.dumps(doc.to_json_dict(), indent=2, ensure_ascii=True)
-    return (text + "\n").encode("utf-8")
+    gens = "[]"
+    if doc.algebra_gens:
+        gens = "[\n    " + ",\n    ".join(_block_text(g, 2) for g in doc.algebra_gens) + "\n  ]"
+    chirality = "null" if doc.chirality is None else _block_text(doc.chirality, 1)
+    meta = json.dumps(dict(doc.metadata), indent=2, ensure_ascii=True).replace("\n", "\n  ")
+    text = (
+        "{\n"
+        f'  "schema_version": {json.dumps(doc.schema_version)},\n'
+        f'  "dim": {json.dumps(doc.dim)},\n'
+        f'  "dirac": {_block_text(doc.dirac, 1)},\n'
+        f'  "chirality": {chirality},\n'
+        f'  "real_structure_k": {_block_text(doc.real_structure_k, 1)},\n'
+        f'  "algebra_gens": {gens},\n'
+        f'  "metadata": {meta}\n'
+        "}\n"
+    )
+    return text.encode("utf-8")
 
 
 def parse_document(data: bytes | str) -> tuple[FiniteSpectralTriple, dict[str, str]]:

@@ -155,15 +155,47 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _relation_sign(k: ExactMatrix, op: ExactMatrix) -> int | None:
-    """Sign s with K conj(op) = s * op K, or None if neither sign holds."""
+def _relation_sign(k: ExactMatrix, op: ExactMatrix) -> int:
+    """Sign s with K conj(op) = s * op K, or 0 if neither sign holds."""
     lhs = k @ op.conj()
     rhs = op @ k
     if lhs == rhs:
         return 1
     if lhs == -rhs:
         return -1
-    return None
+    return 0
+
+
+#: (eps, eps', eps'') as measured: eps is None when J o J is not +-I;
+#: eps' is None when D = 0, eps'' is None without a chirality, and either
+#: is 0 when J has no uniform sign against that operator.
+_Measured = tuple[int | None, int | None, int | None]
+
+
+def _measure_signs(t: FiniteSpectralTriple, stop_at_failure: bool = False) -> _Measured:
+    """J's three signs.  With ``stop_at_failure`` the signs after the first
+    one that fails are left unmeasured (None), since extract_signs raises
+    at that one anyway."""
+    k = t.real_structure.k
+    eps = as_sign_times_identity(t.real_structure.squared())
+    if eps is None and stop_at_failure:
+        return eps, None, None
+    eps_prime = None if t.dirac.is_zero() else _relation_sign(k, t.dirac)
+    if eps_prime == 0 and stop_at_failure:
+        return eps, eps_prime, None
+    eps_dprime = None if t.chirality is None else _relation_sign(k, t.chirality)
+    return eps, eps_prime, eps_dprime
+
+
+def _sign_triple(measured: _Measured) -> SignTriple:
+    eps, eps_prime, eps_dprime = measured
+    if eps is None:
+        raise NotSignInvolutive("J squared is not +-identity")
+    if eps_prime == 0:
+        raise IndefiniteSign("J has no uniform commutation sign with D")
+    if eps_dprime == 0:
+        raise IndefiniteSign("J has no uniform commutation sign with Omega")
+    return SignTriple(eps, eps_prime, eps_dprime)
 
 
 def _mismatch(a: ExactMatrix, b: ExactMatrix) -> str | None:
@@ -179,6 +211,21 @@ def _mismatch(a: ExactMatrix, b: ExactMatrix) -> str | None:
 
 def validate_triple(t: FiniteSpectralTriple) -> ValidationReport:
     """Check every defining axiom; pure, returns a per-axiom report."""
+    return _validate(t)[0]
+
+
+def validate_and_extract(t: FiniteSpectralTriple) -> tuple[ValidationReport, SignTriple]:
+    """``validate_triple(t)`` and ``extract_signs(t)`` from one measurement
+    of J's signs; raises what ``extract_signs`` raises."""
+    report, measured = _validate(t)
+    if measured is None:  # the shapes failed before any sign was measured
+        return report, extract_signs(t)
+    return report, _sign_triple(measured)
+
+
+def _validate(t: FiniteSpectralTriple) -> tuple[ValidationReport, _Measured | None]:
+    """The validation report, and the signs it measured (None when the
+    operator shapes fail and nothing further is checked)."""
     checks: list[AxiomCheck] = []
 
     def add(name: str, passed: bool, witness: str | None = None) -> None:
@@ -186,12 +233,11 @@ def validate_triple(t: FiniteSpectralTriple) -> ValidationReport:
 
     d, om, k = t.dirac, t.chirality, t.real_structure.k
 
-    shape_ok = d.is_square and d.rows == t.dim and k.rows == t.dim
-    if om is not None:
-        shape_ok = shape_ok and om.is_square and om.rows == t.dim
+    ops = (d, k) + (() if om is None else (om,)) + t.algebra_gens
+    shape_ok = all(m.is_square and m.rows == t.dim for m in ops)
     add("operator_shapes", shape_ok, "operator dimensions disagree with dim")
     if not shape_ok:
-        return ValidationReport(tuple(checks))
+        return ValidationReport(tuple(checks)), None
 
     def add_equal(name: str, a: ExactMatrix, b: ExactMatrix, prefix: str = "") -> None:
         witness = _mismatch(a, b)
@@ -213,17 +259,14 @@ def validate_triple(t: FiniteSpectralTriple) -> ValidationReport:
 
     add("real_structure_unitary", k.is_unitary(), "K^dagger K != I")
 
-    sq_sign = as_sign_times_identity(t.real_structure.squared())
-    add("real_structure_sign_involutive", sq_sign is not None,
+    measured = _measure_signs(t)
+    eps, eps_prime, eps_dprime = measured
+    add("real_structure_sign_involutive", eps is not None,
         "K conj(K) is not +-identity")
-
-    if d.is_zero():
-        add("real_structure_vs_dirac", True, None)
-    else:
-        add("real_structure_vs_dirac", _relation_sign(k, d) is not None,
-            "J neither commutes nor anticommutes uniformly with D")
+    add("real_structure_vs_dirac", eps_prime != 0,  # None (D = 0) passes
+        "J neither commutes nor anticommutes uniformly with D")
     if om is not None:
-        add("real_structure_vs_chirality", _relation_sign(k, om) is not None,
+        add("real_structure_vs_chirality", eps_dprime != 0,
             "J neither commutes nor anticommutes uniformly with Omega")
 
     kd = k.dagger()
@@ -234,7 +277,7 @@ def validate_triple(t: FiniteSpectralTriple) -> ValidationReport:
             add(f"order_zero_{i}_{j}", comm.is_zero(),
                 f"[gen {i}, J gen{j}^dagger J^-1] != 0")
 
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks)), measured
 
 
 # --- sign extraction and table lookup -------------------------------------------
@@ -245,23 +288,7 @@ def extract_signs(t: FiniteSpectralTriple) -> SignTriple:
     eps' is absent when D = 0 and eps'' when there is no chirality;
     nothing is ever assumed from the table here.
     """
-    k = t.real_structure.k
-    eps = as_sign_times_identity(t.real_structure.squared())
-    if eps is None:
-        raise NotSignInvolutive("J squared is not +-identity")
-    if t.dirac.is_zero():
-        eps_prime = None
-    else:
-        eps_prime = _relation_sign(k, t.dirac)
-        if eps_prime is None:
-            raise IndefiniteSign("J has no uniform commutation sign with D")
-    if t.chirality is None:
-        eps_dprime = None
-    else:
-        eps_dprime = _relation_sign(k, t.chirality)
-        if eps_dprime is None:
-            raise IndefiniteSign("J has no uniform commutation sign with Omega")
-    return SignTriple(eps, eps_prime, eps_dprime)
+    return _sign_triple(_measure_signs(t, stop_at_failure=True))
 
 
 def ko_from_signs(signs: SignTriple, parity: Literal["even", "odd"]) -> int:

@@ -1,22 +1,116 @@
-"""Independent test oracles: sympy, and the dense kernels the package replaced.
+"""Independent test oracles: sympy, and the kernels the package replaced.
 
 These deliberately re-derive results through a different formulation
-(sympy rational matrices and nullspaces, or dense triple loops over the
-``entries`` view instead of the package's sparse rows) so that agreement
-between the two routes is meaningful.  Nothing in the package imports
-this module.
+(sympy rational matrices and nullspaces, dense triple loops over the
+``entries`` view instead of the package's sparse rows, or a scalar whose
+parts are always ``Fraction`` instead of ``int`` when integral) so that
+agreement between the two routes is meaningful.  Nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 import sympy
 
 from kocalc.linalg import ExactMatrix, GaussianRational
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+def _as_fraction(x: Union[int, Fraction]) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+
+
+@dataclass(frozen=True, eq=False)
+class FractionGaussianRational:
+    """The package's original scalar: a + b*i with both parts always Fraction."""
+
+    re: Fraction = _F0
+    im: Fraction = _F0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "re", _as_fraction(self.re))
+        object.__setattr__(self, "im", _as_fraction(self.im))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FractionGaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    @staticmethod
+    def coerce(x) -> "FractionGaussianRational":
+        if isinstance(x, FractionGaussianRational):
+            return x
+        return FractionGaussianRational(_as_fraction(x))
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __add__(self, other) -> "FractionGaussianRational":
+        o = FractionGaussianRational.coerce(other)
+        return FractionGaussianRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "FractionGaussianRational":
+        o = FractionGaussianRational.coerce(other)
+        return FractionGaussianRational(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other) -> "FractionGaussianRational":
+        return FractionGaussianRational.coerce(other) - self
+
+    def __mul__(self, other) -> "FractionGaussianRational":
+        o = FractionGaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return FractionGaussianRational(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "FractionGaussianRational":
+        o = FractionGaussianRational.coerce(other)
+        n = o.re * o.re + o.im * o.im
+        if not n:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionGaussianRational(
+            (self.re * o.re + self.im * o.im) / n,
+            (self.im * o.re - self.re * o.im) / n,
+        )
+
+    def __neg__(self) -> "FractionGaussianRational":
+        return FractionGaussianRational(-self.re, -self.im)
+
+    def conjugate(self) -> "FractionGaussianRational":
+        return FractionGaussianRational(self.re, -self.im)
+
+    def __str__(self) -> str:
+        if not self.im:
+            return str(self.re)
+        if self.im == 1:
+            unit = "i"
+        elif self.im == -1:
+            unit = "-i"
+        else:
+            unit = f"{self.im}i"
+        if not self.re:
+            return unit
+        joiner = "+" if self.im > 0 else ""
+        return f"{self.re}{joiner}{unit}"
 
 
 def dense_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -1,12 +1,16 @@
 """JSON persistence: round trips, byte determinism, golden files, parse errors."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kocalc.cli import run_cli
 from kocalc.errors import InvalidTriple, ParseError, UnsupportedVersion
-from kocalc.linalg import Antiunitary, ExactMatrix
+from kocalc.linalg import GR_I, GR_ZERO, Antiunitary, ExactMatrix, GaussianRational
 from kocalc.triple_io import (
     SCHEMA_VERSION,
     TripleDocument,
@@ -117,6 +121,41 @@ def test_malformed_rational_rejected():
     assert "chirality.entries[1].im" in str(err.value)
 
 
+@pytest.mark.parametrize("text,canonical", [
+    ("-0", "0"), ("-00", "0"), ("002/2", "1"), ("2/4", "1/2"), ("3/1", "3"),
+])
+def test_non_canonical_rational_rejected_with_location(text, canonical, tmp_path, capsys):
+    doc = _valid_doc()
+    doc["dirac"]["entries"][0]["re"] = text
+    with pytest.raises(ParseError) as err:
+        _parse(doc)
+    assert "dirac.entries[0].re" in str(err.value)
+    assert f"expected {canonical!r}" in str(err.value)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["validate", str(path)]) == 2
+    assert "dirac.entries[0].re" in capsys.readouterr().err
+
+
+def test_parser_builds_ints_for_integral_parts():
+    t = parse_triple(json.dumps(_valid_doc()).encode())
+    parts = [p for m in (t.dirac, t.chirality, t.real_structure.k)
+             for row in m.sparse_rows for _j, v in row for p in (v.re, v.im)]
+    assert parts and all(type(p) is int for p in parts)
+    doc = _valid_doc()
+    doc["dirac"]["entries"][1] = {"re": "-3/4", "im": "5"}
+    entry = parse_triple(json.dumps(doc).encode(), validate=False).dirac.entry(0, 1)
+    assert entry.re == Fraction(-3, 4) and type(entry.im) is int
+
+
+def test_overlong_rational_is_a_parse_error():
+    doc = _valid_doc()
+    doc["dirac"]["entries"][0]["re"] = "1" * 5000
+    with pytest.raises(ParseError) as err:
+        _parse(doc)
+    assert "dirac.entries[0].re" in str(err.value)
+
+
 def test_wrong_schema_version():
     doc = _valid_doc()
     doc["schema_version"] = 2
@@ -199,3 +238,55 @@ def test_document_from_triple_and_back():
     rebuilt = doc.to_triple()
     assert rebuilt.dirac == t.dirac
     assert doc.metadata == (("k", "v"),)
+
+
+# --- the direct emitter against the stdlib encoder ----------------------------------
+
+_parts = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4)
+_cells = st.one_of(st.just(GR_ZERO), st.builds(GaussianRational, _parts, _parts))
+
+
+def _square(n):
+    return st.lists(_cells, min_size=n * n, max_size=n * n).map(
+        lambda cells: ExactMatrix(n, n, cells))
+
+
+@st.composite
+def documents(draw):
+    """Unvalidated triples with fractional entries, optional chirality,
+    any number of generators, and metadata in any script."""
+    n = draw(st.integers(1, 3))
+    phases = draw(st.lists(st.sampled_from([1, -1, GR_I, -GR_I]), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    k = ExactMatrix(n, n, [phases[i] if perm[i] == j else 0
+                           for i in range(n) for j in range(n)])
+    t = FiniteSpectralTriple(
+        dim=n,
+        algebra_gens=tuple(draw(st.lists(_square(n), max_size=3))),
+        dirac=draw(_square(n)),
+        chirality=draw(st.one_of(st.none(), _square(n))),
+        real_structure=Antiunitary(k),
+    )
+    meta = draw(st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=4))
+    return t, meta
+
+
+_HALF = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+
+
+@settings(max_examples=40)
+@given(documents())
+@example((FiniteSpectralTriple(
+    dim=2,
+    algebra_gens=(ExactMatrix.from_rows([[_HALF, 0], [0, 2]]), ExactMatrix.identity(2)),
+    dirac=ExactMatrix.from_rows([[0, _HALF], [_HALF.conjugate(), 0]]),
+    chirality=None,
+    real_structure=Antiunitary(ExactMatrix.from_rows([[0, GR_I], [1, 0]])),
+), {"σ": "Ω ∘ J", "note": "tab\tquote\"", "ü": ""}))
+def test_serializer_matches_the_stdlib_encoder(case):
+    t, meta = case
+    doc = TripleDocument.from_triple(t, meta)
+    expected = json.dumps(doc.to_json_dict(), indent=2, ensure_ascii=True) + "\n"
+    assert serialize_triple(t, meta) == expected.encode("utf-8")
+    back, back_meta = parse_document(serialize_triple(t, meta))
+    assert back == t and back_meta == meta

@@ -23,7 +23,14 @@ from kocalc.linalg import (
     real_fixed_dim_constrained,
 )
 
-from oracles import dense_matmul, dense_rank, sympy_rank, sympy_real_fixed_dim, to_sympy
+from oracles import (
+    FractionGaussianRational,
+    dense_matmul,
+    dense_rank,
+    sympy_rank,
+    sympy_real_fixed_dim,
+    to_sympy,
+)
 
 # --- scalar arithmetic -------------------------------------------------------
 
@@ -71,6 +78,121 @@ def test_scalar_ring_axioms(a, b, c):
 def test_scalar_division_inverts_multiplication(a, b):
     if b:
         assert (a * b) / b == a
+
+
+# --- the int-or-Fraction scalar against the Fraction-pair oracle ----------------
+
+#: parts of either type, including Fractions with denominator 1
+mixed_parts = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4),
+)
+mixed_pairs = st.tuples(mixed_parts, mixed_parts)
+
+
+def assert_canonical_parts(z):
+    assert isinstance(z, GaussianRational)
+    for part in (z.re, z.im):
+        assert type(part) in (int, Fraction)
+        assert (type(part) is int) == (part.denominator == 1)
+
+
+def assert_same(z, oracle):
+    assert_canonical_parts(z)
+    assert isinstance(oracle, FractionGaussianRational)
+    assert (z.re, z.im) == (oracle.re, oracle.im)
+    assert str(z) == str(oracle)
+    assert hash(z) == hash(oracle)
+    assert bool(z) == bool(oracle)
+
+
+@given(mixed_pairs, mixed_pairs)
+def test_scalar_matches_the_fraction_oracle(x, y):
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    oa, ob = FractionGaussianRational(*x), FractionGaussianRational(*y)
+    assert_same(a, oa)
+    assert_same(a + b, oa + ob)
+    assert_same(a - b, oa - ob)
+    assert_same(a * b, oa * ob)
+    assert_same(-a, -oa)
+    assert_same(a.conjugate(), oa.conjugate())
+    assert (a == b) == (oa == ob)
+    if ob:
+        assert_same(a / b, oa / ob)
+
+
+@given(mixed_pairs, mixed_parts)
+def test_scalar_with_plain_operands_matches_the_oracle(x, r):
+    a, oa = GaussianRational(*x), FractionGaussianRational(*x)
+    assert_same(a + r, oa + r)
+    assert_same(r + a, r + oa)
+    assert_same(a - r, oa - r)
+    assert_same(r - a, r - oa)
+    assert_same(a * r, oa * r)
+    assert_same(r * a, r * oa)
+    assert (a == r) == (oa == r)
+    if r:
+        assert_same(a / r, oa / r)
+
+
+def test_integral_fractions_become_ints():
+    half = GaussianRational(Fraction(1, 2))
+    total = half + half
+    assert total == 1 and type(total.re) is int and type(total.im) is int
+    assert type(GaussianRational(Fraction(4, 2), Fraction(-3, 1)).im) is int
+    assert type((GaussianRational(Fraction(2, 3)) * 3).re) is int
+
+
+def test_integer_division_stays_exact():
+    z = GaussianRational(1) / 2
+    assert z.re == Fraction(1, 2) and type(z.re) is Fraction
+    assert type(z.im) is int
+    w = GaussianRational(3, 4) / GaussianRational(0, 2)
+    assert (w.re, w.im) == (2, Fraction(-3, 2))
+    assert not any(isinstance(p, float) for p in (z.re, z.im, w.re, w.im))
+    with pytest.raises(TypeError):
+        GaussianRational(0.5)
+
+
+def test_scalar_is_slotted_frozen_and_picklable():
+    z = GaussianRational(Fraction(1, 2), -3)
+    assert not hasattr(z, "__dict__")
+    with pytest.raises(AttributeError):
+        z.re = 1
+    assert pickle.loads(pickle.dumps(z)) == z
+    assert copy.deepcopy(z) == z
+
+
+@st.composite
+def mixed_row_matrices(draw, rows, cols):
+    """Each row empty, one-term or several-term, so both product paths run."""
+    out = []
+    for _ in range(rows):
+        size = draw(st.sampled_from([0, 1, 1, 2, cols]))
+        columns = draw(st.permutations(range(cols)))[:size]
+        row = [GR_ZERO] * cols
+        for j in columns:
+            row[j] = draw(small_entries.filter(bool))
+        out.append(row)
+    return ExactMatrix.from_rows(out)
+
+
+@st.composite
+def mixed_row_pairs(draw):
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(mixed_row_matrices(n, k)), draw(mixed_row_matrices(k, m))
+
+
+@settings(max_examples=40)
+@given(mixed_row_pairs())
+def test_matmul_with_one_term_rows_matches_dense(pair):
+    a, b = pair
+    got = a @ b
+    assert_canonical(got)
+    assert got == dense_matmul(a, b)
+    for row in got.sparse_rows:
+        for _j, v in row:
+            assert_canonical_parts(v)
 
 
 # --- matrix construction and arithmetic --------------------------------------

@@ -4,8 +4,16 @@ import pytest
 
 from kocalc.clifford import signature
 import kocalc.products as products_module
-from kocalc.errors import IncompleteSigns, NoChirality, NoTableMatch
-from kocalc.linalg import Antiunitary, ExactMatrix, GaussianRational
+import dataclasses
+
+from kocalc.errors import (
+    IncompleteSigns,
+    InvalidComponent,
+    NoChirality,
+    NoTableMatch,
+    NotSignInvolutive,
+)
+from kocalc.linalg import GR_I, Antiunitary, ExactMatrix, GaussianRational
 from kocalc.products import (
     Incompatible,
     ProductMode,
@@ -254,3 +262,41 @@ def test_verification_keeps_the_measured_product():
     v = verify_product(t1, t2, ProductMode.MODIFIED)
     assert v.product == product_triple(t1, t2, ProductMode.MODIFIED)
     assert v.product.dim == v.product_dim
+
+
+# --- invalid factors ------------------------------------------------------------------
+
+
+def _factor_with_bad_j_square():
+    """Cl(1,1) with a unitary K whose K conj(K) = diag(-i, i) is not +-I."""
+    k = ExactMatrix.from_rows([[0, 1], [GR_I, 0]])
+    return dataclasses.replace(rep_triple(1, 1), real_structure=Antiunitary(k))
+
+
+def _factor_with_non_hermitian_dirac():
+    """Cl(1,1) with D = sigma_x + i sigma_z: J still commutes with D and D
+    still anticommutes with the chirality, but D is not hermitian."""
+    d = ExactMatrix.from_rows([[GR_I, 1], [1, -GR_I]])
+    return dataclasses.replace(rep_triple(1, 1), dirac=d)
+
+
+@pytest.mark.parametrize("mode", [ProductMode.NATURAL, ProductMode.MODIFIED])
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_verify_product_rejects_a_j_that_is_not_sign_involutive(mode, bad_first):
+    bad, good = _factor_with_bad_j_square(), rep_triple(1, 1)
+    pair = (bad, good) if bad_first else (good, bad)
+    with pytest.raises(NotSignInvolutive, match=r"^J squared is not \+-identity$"):
+        verify_product(*pair, mode)
+
+
+@pytest.mark.parametrize("mode", [ProductMode.NATURAL, ProductMode.MODIFIED])
+@pytest.mark.parametrize("which", ["first", "second"])
+def test_verify_product_rejects_a_non_hermitian_dirac(mode, which):
+    bad, good = _factor_with_non_hermitian_dirac(), rep_triple(1, 1)
+    assert extract_signs(bad) == SignTriple(+1, +1, +1)  # the signs alone look fine
+    pair = (bad, good) if which == "first" else (good, bad)
+    message = f"^{which} factor fails validation: dirac_hermitian$"
+    with pytest.raises(InvalidComponent, match=message):
+        verify_product(*pair, mode)
+    with pytest.raises(InvalidComponent, match=message):
+        product_triple(*pair, mode)

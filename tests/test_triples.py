@@ -2,6 +2,7 @@
 
 import pytest
 
+import kocalc.triples as triples_module
 from kocalc.clifford import signature
 from kocalc.errors import (
     IncompleteSigns,
@@ -22,8 +23,10 @@ from kocalc.triples import (
     ko_from_signs,
     restrict_majorana_weyl,
     twist_real_structure,
+    validate_and_extract,
     validate_triple,
 )
+from kocalc.products import ProductMode, verify_product
 
 from oracles import sympy_real_fixed_dim
 
@@ -207,6 +210,74 @@ def test_extract_signs_odd_style_triple():
     signs = extract_signs(t)
     assert signs == SignTriple(1, 1, None)
     assert ko_from_signs(signs, "odd") == 1
+
+
+# --- one measurement for validation and signs ---------------------------------------
+
+
+def _outcome(fn, t):
+    try:
+        return fn(t)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _edge_triples():
+    t20 = _triple_20()
+    t11 = canonical_triple(1, 1, "gamma1")
+    i = GaussianRational(0, 1)
+    return [
+        # J o J is not +-I
+        FiniteSpectralTriple(2, (), ExactMatrix.zeros(2, 2), t20.chirality,
+                             Antiunitary(mat([[0, 1], [i, 0]]))),
+        # no uniform sign against D
+        FiniteSpectralTriple(2, (), mat([[0, GaussianRational(1, 1)], [GaussianRational(1, -1), 0]]),
+                             t11.chirality, Antiunitary(ExactMatrix.identity(2))),
+        # no uniform sign against Omega
+        FiniteSpectralTriple(2, (), ExactMatrix.zeros(2, 2), mat([[1, 0], [0, i]]),
+                             Antiunitary(ExactMatrix.identity(2))),
+        # D not hermitian, signs fine
+        FiniteSpectralTriple(2, (), mat([[i, 1], [1, -i]]), t11.chirality, t11.real_structure),
+        # no chirality
+        FiniteSpectralTriple(2, (), mat([[0, 1], [1, 0]]), None,
+                             Antiunitary(ExactMatrix.identity(2))),
+        # operator shapes disagree with dim
+        FiniteSpectralTriple(4, (), t20.dirac, t20.chirality, t20.real_structure),
+    ]
+
+
+@pytest.mark.parametrize("t", [canonical_triple(p, q, mode)
+                               for p, q in EVEN_PQ[:8] for mode in dirac_modes(p)]
+                         + _edge_triples())
+def test_validate_and_extract_matches_the_two_calls(t):
+    expected = _outcome(extract_signs, t)
+    got = _outcome(validate_and_extract, t)
+    if isinstance(expected, SignTriple):
+        assert got == (validate_triple(t), expected)
+    else:
+        assert got == expected
+
+
+def test_validation_reports_a_misshaped_generator():
+    t = _triple_20()
+    bad = FiniteSpectralTriple(t.dim, (ExactMatrix.identity(3),), t.dirac,
+                               t.chirality, t.real_structure)
+    report = validate_triple(bad)
+    assert [c.name for c in report.failures] == ["operator_shapes"]
+
+
+def test_verify_product_measures_each_triple_once(monkeypatch):
+    measured = []
+    original = triples_module._measure_signs
+
+    def counting(t, *args, **kwargs):
+        measured.append(t)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(triples_module, "_measure_signs", counting)
+    t1, t2 = canonical_triple(2, 0, "gamma1"), canonical_triple(1, 1, "gamma1")
+    v = verify_product(t1, t2, ProductMode.NATURAL)
+    assert measured == [t1, t2, v.product]
 
 
 # --- KO lookup --------------------------------------------------------------------------
