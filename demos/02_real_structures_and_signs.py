@@ -4,8 +4,9 @@ import kocalc as kc
 #
 # A real structure J is an antiunitary operator commuting with the real
 # algebra generated by the gammas.  kocalc represents J by its linear
-# part K (so J v = K conj(v)) and finds K deterministically by scanning
-# scalar multiples of ordered subset products of the generators.
+# part K (so J v = K conj(v)).  K is an ordered product of generators:
+# each gamma is real or imaginary, and K must be the product of the
+# imaginary ones if there are evenly many, else of the real ones.
 
 rep = kc.build_gammas(2, 0)
 j = kc.find_real_structure(rep)

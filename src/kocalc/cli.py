@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     RealStructureNotFound,
     RestrictionUndefined,
+    TooManyGenerators,
     UnsupportedVersion,
 )
 from .products import Incompatible, ProductMode, verify_product
@@ -56,7 +57,7 @@ from .triples import (
 )
 
 _USAGE_ERRORS = (
-    ParseError, UnsupportedVersion, OddDimensionUnsupported,
+    ParseError, UnsupportedVersion, OddDimensionUnsupported, TooManyGenerators,
     NoHermitianGenerator, FileNotFoundError, IsADirectoryError,
     PermissionError, ValueError,
 )

@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
-from .errors import OddDimensionUnsupported, RealStructureNotFound
+from .errors import OddDimensionUnsupported, RealStructureNotFound, TooManyGenerators
 from .linalg import Antiunitary, ExactMatrix, GR_I, GaussianRational
 
 SIGMA_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
@@ -64,12 +63,21 @@ def _euclidean_gammas(n: int) -> list[ExactMatrix]:
     return out
 
 
+#: The most generators build_gammas accepts: 14 gives 128 x 128 matrices,
+#: and each two more generators double the dimension.
+MAX_GENERATORS = 14
+
+
 @lru_cache(maxsize=None)
 def build_gammas(p: int, q: int) -> CliffordRep:
-    """Construct the canonical generators of Cl(p,q) for even p + q >= 2."""
+    """Construct the canonical generators of Cl(p,q) for even p + q, 2 <= p + q <= 14."""
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
     n = p + q
+    if n > MAX_GENERATORS:
+        raise TooManyGenerators(
+            f"p + q must be at most {MAX_GENERATORS} (matrices of dimension "
+            f"{2 ** (MAX_GENERATORS // 2)}), got {n}")
     if n % 2 != 0:
         raise OddDimensionUnsupported(f"p + q must be even, got {n}")
     if n < 2:
@@ -113,41 +121,48 @@ def chirality(rep: CliffordRep) -> ExactMatrix:
     return theta.scaled(GR_I)
 
 
-def _lex_subset_products(rep: CliffordRep) -> Iterator[tuple[tuple[int, ...], ExactMatrix]]:
-    """All ordered generator products G_S, subsets in lexicographic order.
-
-    Subsets of {1..n} are visited as increasing tuples sorted
-    lexicographically: (), (1,), (1,2), ..., (1,n), (2,), ...  Each
-    product extends its prefix by one right-multiplication.
-    """
-    n = rep.n
-
-    def rec(prefix: tuple[int, ...], mat: ExactMatrix, start: int):
-        yield prefix, mat
-        for j in range(start, n + 1):
-            yield from rec(prefix + (j,), mat @ rep.gammas[j - 1], j + 1)
-
-    yield from rec((), ExactMatrix.identity(rep.dim), 1)
+def _reality(g: ExactMatrix) -> int | None:
+    """r with conj(G) = r G: +1 for a real matrix, -1 for an imaginary one,
+    None for a matrix that is neither."""
+    values = [v for row in g.sparse_rows for _j, v in row]
+    if not any(v.im for v in values):
+        return 1
+    if not any(v.re for v in values):
+        return -1
+    return None
 
 
 @lru_cache(maxsize=None)
 def find_real_structure(rep: CliffordRep) -> Antiunitary:
-    """The first monomial antiunitary commuting with the whole real algebra.
+    """The monomial antiunitary J: v -> K conj(v) commuting with the real algebra.
 
-    Candidates are c * G_S for S a subset of {1..n} and c in {1, i},
-    scanned in lexicographic subset order with c = 1 tried first.  The
-    antiunitary J: v -> K conj(v) commutes with every real-linear
-    combination of generator products exactly when
-    K conj(G_a) = G_a K for all a.  (The scalar c drops out of that
-    condition, so the c = i branch is kept only to honour the declared
-    search space.)
+    J commutes with every real-linear combination of generator products
+    exactly when K conj(G_a) = G_a K for all a.  Each generator is real or
+    imaginary, conj(G_a) = r_a G_a, and for K = G_S (the ordered product
+    of the G_a with a in S) the generators' anticommutation turns that
+    condition into r_a = (-1)^(|S| - [a in S]).  Once the parity of |S| is
+    fixed, membership is forced: S = {a : r_a = -1} for even |S| and
+    S = {a : r_a = +1} for odd |S|.  The two sets partition the n
+    generators and n is even, so they have the same parity and exactly
+    one of them has the parity it assumes: K is the unique monomial
+    solution (up to a scalar, which drops out of the condition).  The
+    condition is still checked on the built K.
     """
-    for _subset, base in _lex_subset_products(rep):
-        for c in (None, GR_I):
-            k = base if c is None else base.scaled(c)
-            if all((k @ g.conj()) == (g @ k) for g in rep.gammas):
-                return Antiunitary(k)
-    raise RealStructureNotFound(f"no monomial real structure for Cl({rep.p},{rep.q})")
+    signs = [_reality(g) for g in rep.gammas]
+    if None in signs:
+        # For K = c G_S the condition reads conj(G_a) = G_S^-1 G_a G_S = +-G_a,
+        # which would make G_a real or imaginary: no monomial K exists.
+        raise RealStructureNotFound(
+            f"Cl({rep.p},{rep.q}) has a generator that is neither real nor imaginary")
+    subset = [a for a, r in enumerate(signs) if r == -1]
+    if len(subset) % 2:
+        subset = [a for a, r in enumerate(signs) if r == 1]
+    k = ExactMatrix.identity(rep.dim)
+    for a in subset:
+        k = k @ rep.gammas[a]
+    if not all((k @ g.conj()) == (g @ k) for g in rep.gammas):
+        raise RealStructureNotFound(f"no monomial real structure for Cl({rep.p},{rep.q})")
+    return Antiunitary(k)
 
 
 # --- classification -------------------------------------------------------------

@@ -28,6 +28,10 @@ class OddDimensionUnsupported(KocalcError):
     """Gamma-matrix construction requires an even number of generators."""
 
 
+class TooManyGenerators(KocalcError):
+    """Gamma-matrix construction is bounded in the number of generators."""
+
+
 class RealStructureNotFound(KocalcError):
     """No monomial real-structure candidate commutes with all generators."""
 
@@ -43,7 +47,15 @@ class NotSignInvolutive(KocalcError):
 
 
 class IndefiniteSign(KocalcError):
-    """J neither commutes nor anticommutes uniformly with the given operator."""
+    """J neither commutes nor anticommutes uniformly with the given operator.
+
+    ``sides`` holds the two matrices that were compared, K conj(A) and A K
+    for the operator A, when the raiser measured them.
+    """
+
+    def __init__(self, message: str, sides: tuple | None = None):
+        super().__init__(message)
+        self.sides = sides
 
 
 class NoTableMatch(KocalcError):

@@ -503,6 +503,13 @@ class Antiunitary:
         """The antiunitary j o u for a unitary u (apply u first)."""
         return Antiunitary(self.k @ u.conj())
 
+    def tensor(self, other: "Antiunitary") -> "Antiunitary":
+        """The antiunitary with linear part k1 (x) k2.  A Kronecker product of
+        unitaries is unitary, so the check in ``__post_init__`` is skipped."""
+        j = object.__new__(Antiunitary)
+        _set(j, "k", self.k.kron(other.k))
+        return j
+
 
 def _parts(row: SparseRow, i: int, shift: int) -> tuple[dict, dict]:
     """Real and imaginary parts of row i of a square matrix, plus shift at (i, i)."""

@@ -35,7 +35,7 @@ from .errors import (
     NoChirality,
     NoTableMatch,
 )
-from .linalg import Antiunitary, ExactMatrix
+from .linalg import ExactMatrix
 from .triples import (
     EPSILON_TABLE,
     FiniteSpectralTriple,
@@ -86,12 +86,11 @@ def product_triple(
     dirac = t1.dirac.kron(eye2) + t1.chirality.kron(t2.dirac)
     omega = t1.chirality.kron(t2.chirality)
     if mode is ProductMode.NATURAL:
-        k2 = t2.real_structure.k
+        j2 = t2.real_structure
     elif mode is ProductMode.MODIFIED:
-        k2 = t2.real_structure.precompose_linear(t2.chirality).k
+        j2 = t2.real_structure.precompose_linear(t2.chirality)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    k = t1.real_structure.k.kron(k2)
     gens = tuple(a.kron(eye2) for a in t1.algebra_gens) + tuple(
         eye1.kron(b) for b in t2.algebra_gens
     )
@@ -100,7 +99,7 @@ def product_triple(
         algebra_gens=gens,
         dirac=dirac,
         chirality=omega,
-        real_structure=Antiunitary(k),
+        real_structure=t1.real_structure.tensor(j2),
     )
 
 
@@ -159,25 +158,24 @@ def _fill_eps_prime_from_table(s: SignTriple) -> tuple[SignTriple, bool]:
     return SignTriple(s.eps, EPSILON_TABLE[sigma].eps_prime, s.eps_dprime), True
 
 
-def _indefinite_witness(t: FiniteSpectralTriple) -> str:
-    """A concrete vector on which J D differs from both +D J and -D J."""
-    k, d = t.real_structure.k, t.dirac
-    jd, dj = k @ d.conj(), d @ k
+def _indefinite_witness(sides: tuple[ExactMatrix, ExactMatrix]) -> str:
+    """A basis vector on which J D differs from both +D J and -D J, read
+    from the measured sides (K conj(D), D K) of a product triple.
+
+    With D = X + Y for X = D1 (x) I and Y = Omega1 (x) D2, each term has a
+    uniform sign against J, and the two signs differ.  So JD - DJ and
+    JD + DJ are -2 XK and -2 YK in some order.  With K = K1 (x) K2 (K2
+    conj(Omega2) in the modified mode), column (a, b) of XK is nonzero when
+    D1 K1 e_a != 0 and column (a, b) of YK when D2 K2 e_b != 0, so both
+    supports share a column.
+    """
+    jd, dj = sides
 
     def nonzero_columns(m: ExactMatrix) -> set[int]:
         return {j for row in m.sparse_rows for j, _v in row}
 
-    plus = nonzero_columns(jd - dj)    # empty iff J and D commute
-    minus = nonzero_columns(jd + dj)   # empty iff they anticommute
-    both = plus & minus
-    if both:
-        j = min(both)
-        return f"basis vector e{j}: (JD - DJ)e{j} != 0 and (JD + DJ)e{j} != 0"
-    j_plus, j_minus = min(plus), min(minus)
-    # The two column supports are disjoint here, so the sum cannot cancel.
-    return (
-        f"vector e{j_plus} + e{j_minus}: (JD - DJ)v != 0 and (JD + DJ)v != 0"
-    )
+    j = min(nonzero_columns(jd - dj) & nonzero_columns(jd + dj))
+    return f"basis vector e{j}: (JD - DJ)e{j} != 0 and (JD + DJ)e{j} != 0"
 
 
 @dataclass(frozen=True)
@@ -246,9 +244,9 @@ def verify_product(
     witness: str | None = None
     try:
         matrix_signs = extract_signs(product)
-    except IndefiniteSign:
+    except IndefiniteSign as exc:
         matrix_signs = None
-        witness = _indefinite_witness(product)
+        witness = _indefinite_witness(exc.sides)
 
     matrix_ko = None
     if matrix_signs is not None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import InvalidTriple, ParseError, UnsupportedVersion
-from .linalg import GR_ZERO, Antiunitary, ExactMatrix, GaussianRational
+from .linalg import Antiunitary, ExactMatrix, GaussianRational
 from .triples import FiniteSpectralTriple, validate_triple
 
 SCHEMA_VERSION = 1
@@ -116,19 +116,23 @@ def _block_to_matrix(obj: Any, location: str) -> ExactMatrix:
         raise ParseError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix", location
         )
-    parsed = []
-    for idx, ent in enumerate(entries):
-        if ent == _ZERO_CELL:
-            parsed.append(GR_ZERO)
-            continue
-        here = f"{location}.entries[{idx}]"
-        if not isinstance(ent, dict) or set(ent) != {"re", "im"}:
-            raise ParseError("entry must be an object with exactly the keys 're' and 'im'", here)
-        parsed.append(GaussianRational(
-            str_to_rational(ent["re"], f"{here}.re"),
-            str_to_rational(ent["im"], f"{here}.im"),
-        ))
-    return ExactMatrix(rows, cols, tuple(parsed))
+    sparse_rows = []
+    for i in range(rows):
+        start = i * cols
+        row = []
+        for j, ent in enumerate(entries[start:start + cols]):
+            if ent == _ZERO_CELL:
+                continue
+            here = f"{location}.entries[{start + j}]"
+            if not isinstance(ent, dict) or set(ent) != {"re", "im"}:
+                raise ParseError("entry must be an object with exactly the keys 're' and 'im'", here)
+            # "0" is the only canonical zero string, so this value is nonzero.
+            row.append((j, GaussianRational(
+                str_to_rational(ent["re"], f"{here}.re"),
+                str_to_rational(ent["im"], f"{here}.im"),
+            )))
+        sparse_rows.append(tuple(row))
+    return ExactMatrix._of(rows, cols, tuple(sparse_rows))
 
 
 @dataclass(frozen=True)

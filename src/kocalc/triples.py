@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .clifford import build_gammas, chirality, find_real_structure, signature
 from .errors import (
@@ -155,21 +155,32 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _relation_sign(k: ExactMatrix, op: ExactMatrix) -> int:
-    """Sign s with K conj(op) = s * op K, or 0 if neither sign holds."""
+#: The two sides K conj(A) and A K of J's relation with an operator A.
+_Sides = tuple[ExactMatrix, ExactMatrix]
+
+
+def _relation_sign(k: ExactMatrix, op: ExactMatrix) -> tuple[int, _Sides | None]:
+    """Sign s with K conj(op) = s * op K, or 0 and the two sides if neither
+    sign holds."""
     lhs = k @ op.conj()
     rhs = op @ k
     if lhs == rhs:
-        return 1
+        return 1, None
     if lhs == -rhs:
-        return -1
-    return 0
+        return -1, None
+    return 0, (lhs, rhs)
 
 
-#: (eps, eps', eps'') as measured: eps is None when J o J is not +-I;
-#: eps' is None when D = 0, eps'' is None without a chirality, and either
-#: is 0 when J has no uniform sign against that operator.
-_Measured = tuple[int | None, int | None, int | None]
+class _Measured(NamedTuple):
+    """(eps, eps', eps'') as measured: eps is None when J o J is not +-I;
+    eps' is None when D = 0, eps'' is None without a chirality, and either
+    is 0 when J has no uniform sign against that operator.  ``sides`` are
+    those of the first operator with no uniform sign, else None."""
+
+    eps: int | None
+    eps_prime: int | None
+    eps_dprime: int | None
+    sides: _Sides | None = None
 
 
 def _measure_signs(t: FiniteSpectralTriple, stop_at_failure: bool = False) -> _Measured:
@@ -179,22 +190,26 @@ def _measure_signs(t: FiniteSpectralTriple, stop_at_failure: bool = False) -> _M
     k = t.real_structure.k
     eps = as_sign_times_identity(t.real_structure.squared())
     if eps is None and stop_at_failure:
-        return eps, None, None
-    eps_prime = None if t.dirac.is_zero() else _relation_sign(k, t.dirac)
-    if eps_prime == 0 and stop_at_failure:
-        return eps, eps_prime, None
-    eps_dprime = None if t.chirality is None else _relation_sign(k, t.chirality)
-    return eps, eps_prime, eps_dprime
+        return _Measured(eps, None, None)
+    eps_prime = eps_dprime = sides = None
+    if not t.dirac.is_zero():
+        eps_prime, sides = _relation_sign(k, t.dirac)
+        if sides is not None and stop_at_failure:
+            return _Measured(eps, eps_prime, None, sides)
+    if t.chirality is not None:
+        eps_dprime, omega_sides = _relation_sign(k, t.chirality)
+        sides = sides or omega_sides
+    return _Measured(eps, eps_prime, eps_dprime, sides)
 
 
 def _sign_triple(measured: _Measured) -> SignTriple:
-    eps, eps_prime, eps_dprime = measured
+    eps, eps_prime, eps_dprime, sides = measured
     if eps is None:
         raise NotSignInvolutive("J squared is not +-identity")
     if eps_prime == 0:
-        raise IndefiniteSign("J has no uniform commutation sign with D")
+        raise IndefiniteSign("J has no uniform commutation sign with D", sides)
     if eps_dprime == 0:
-        raise IndefiniteSign("J has no uniform commutation sign with Omega")
+        raise IndefiniteSign("J has no uniform commutation sign with Omega", sides)
     return SignTriple(eps, eps_prime, eps_dprime)
 
 
@@ -260,7 +275,7 @@ def _validate(t: FiniteSpectralTriple) -> tuple[ValidationReport, _Measured | No
     add("real_structure_unitary", k.is_unitary(), "K^dagger K != I")
 
     measured = _measure_signs(t)
-    eps, eps_prime, eps_dprime = measured
+    eps, eps_prime, eps_dprime, _sides = measured
     add("real_structure_sign_involutive", eps is not None,
         "K conj(K) is not +-identity")
     add("real_structure_vs_dirac", eps_prime != 0,  # None (D = 0) passes

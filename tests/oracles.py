@@ -2,9 +2,11 @@
 
 These deliberately re-derive results through a different formulation
 (sympy rational matrices and nullspaces, dense triple loops over the
-``entries`` view instead of the package's sparse rows, or a scalar whose
-parts are always ``Fraction`` instead of ``int`` when integral) so that
-agreement between the two routes is meaningful.  Nothing in the package
+``entries`` view instead of the package's sparse rows, a scalar whose
+parts are always ``Fraction`` instead of ``int`` when integral, or a scan
+of all 2^n generator subset products instead of the sign calculus that
+picks the real structure's subset) so that agreement between the two
+routes is meaningful.  Nothing in the package
 imports this module.
 """
 
@@ -12,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import sympy
 
-from kocalc.linalg import ExactMatrix, GaussianRational
+from kocalc.clifford import CliffordRep
+from kocalc.errors import RealStructureNotFound
+from kocalc.linalg import Antiunitary, ExactMatrix, GaussianRational
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -153,6 +157,33 @@ def dense_rank(m: ExactMatrix) -> int:
         if r == m.rows:
             break
     return r
+
+
+def _lex_subset_products(rep: CliffordRep) -> Iterator[tuple[tuple[int, ...], ExactMatrix]]:
+    """All ordered generator products G_S, subsets in lexicographic order.
+
+    Subsets of {1..n} are visited as increasing tuples sorted
+    lexicographically: (), (1,), (1,2), ..., (1,n), (2,), ...  Each
+    product extends its prefix by one right-multiplication.
+    """
+    n = rep.n
+
+    def rec(prefix: tuple[int, ...], mat: ExactMatrix, start: int):
+        yield prefix, mat
+        for j in range(start, n + 1):
+            yield from rec(prefix + (j,), mat @ rep.gammas[j - 1], j + 1)
+
+    yield from rec((), ExactMatrix.identity(rep.dim), 1)
+
+
+def lex_subset_real_structure(rep: CliffordRep) -> Antiunitary:
+    """The package's original search: the first generator subset product K,
+    in lexicographic subset order, with K conj(G_a) = G_a K for every a.
+    (A scalar multiple of K passes or fails with K, so none is tried.)"""
+    for _subset, k in _lex_subset_products(rep):
+        if all((k @ g.conj()) == (g @ k) for g in rep.gammas):
+            return Antiunitary(k)
+    raise RealStructureNotFound(f"no monomial real structure for Cl({rep.p},{rep.q})")
 
 
 def to_sympy(m: ExactMatrix) -> sympy.Matrix:

@@ -13,6 +13,13 @@ import kocalc.products as products_module
 from kocalc.cli import run_cli
 
 
+def _env_with_src() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
@@ -93,6 +100,27 @@ def test_make_triple_rejects_odd_dimension(tmp_path, capsys):
     assert code == 2
     assert "even" in err
     assert not out.exists()
+
+
+def test_make_triple_rejects_too_many_generators(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    code, stdout, err = run(capsys, "make-triple", "--p", "40", "--q", "0",
+                            "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and "at most 14" in err
+    assert not out.exists()
+
+
+def test_make_triple_at_dimension_64_by_python_dash_m(tmp_path):
+    out = tmp_path / "t.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "kocalc", "make-triple", "--p", "12", "--q", "0",
+         "--out", str(out)],
+        capture_output=True, text=True, env=_env_with_src(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["dim"] == 64
 
 
 def test_make_triple_rejects_gamma1_without_positive_generator(tmp_path, capsys):
@@ -301,12 +329,9 @@ def test_scan_json(capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run(
         [sys.executable, "-m", "kocalc", "classify", "--p", "1", "--q", "3", "--json"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_env_with_src(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["sigma"] == 6

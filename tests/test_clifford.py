@@ -1,10 +1,13 @@
 """Gamma construction, volume element, chirality, real structure, classification."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kocalc.clifford import (
+    CliffordRep,
     build_gammas,
     chirality,
     classify_algebra,
@@ -13,10 +16,10 @@ from kocalc.clifford import (
     theta_square_sign,
     volume_element,
 )
-from kocalc.errors import OddDimensionUnsupported
+from kocalc.errors import OddDimensionUnsupported, RealStructureNotFound, TooManyGenerators
 from kocalc.linalg import ExactMatrix, GaussianRational
 
-from oracles import sympy_is_unitary
+from oracles import lex_subset_real_structure, sympy_is_unitary
 
 EVEN_PQ = [(p, n - p) for n in (2, 4, 6) for p in range(n + 1)]
 
@@ -81,6 +84,12 @@ def test_odd_dimension_rejected():
         build_gammas(0, 0)
 
 
+@pytest.mark.parametrize("p,q", [(16, 0), (8, 8), (0, 16), (15, 0), (40, 0), (1, 10**9)])
+def test_generator_count_bounded(p, q):
+    with pytest.raises(TooManyGenerators, match="at most 14"):
+        build_gammas(p, q)
+
+
 @pytest.mark.parametrize("p,q", EVEN_PQ)
 def test_volume_element_square(p, q):
     rep = build_gammas(p, q)
@@ -133,14 +142,69 @@ def test_real_structure_deterministic_and_cached():
 
 
 def test_real_structure_eight_dimensional_spot_checks():
-    for p, q in [(8, 0), (4, 4), (0, 8)]:
+    for p, q in [(8, 0), (4, 4), (0, 8), (10, 0), (5, 5), (12, 0), (7, 5), (14, 0), (0, 14)]:
         rep = build_gammas(p, q)
-        assert rep.dim == 16
+        dim = 2 ** ((p + q) // 2)
+        assert rep.dim == dim
         j = find_real_structure(rep)
+        assert j.k.is_unitary()
         for g in rep.gammas:
             assert j.k @ g.conj() == g @ j.k
         eps = EPS_BY_SIGMA[signature(p, q)]
-        assert j.squared() == ExactMatrix.identity(16).scaled(GaussianRational(eps))
+        assert j.squared() == ExactMatrix.identity(dim).scaled(GaussianRational(eps))
+        eps_dd = EPS_DPRIME_BY_SIGMA[signature(p, q)]
+        omega = chirality(rep)
+        assert j.k @ omega.conj() == (omega @ j.k).scaled(GaussianRational(eps_dd))
+
+
+ORACLE_PQ = [(p, n - p) for n in (2, 4, 6, 8) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("p,q", ORACLE_PQ)
+def test_real_structure_matches_lex_subset_search(p, q):
+    rep = build_gammas(p, q)
+    assert find_real_structure(rep).k == lex_subset_real_structure(rep).k
+
+
+def test_real_structure_issues_linearly_many_products(monkeypatch):
+    rep = build_gammas(10, 0)
+    calls = []
+    matmul = ExactMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+    find_real_structure.__wrapped__(rep)
+    # at most n products build K, 2n check it and one checks unitarity
+    assert len(calls) <= 3 * rep.n + 1
+
+
+def _rotated_cl20() -> CliffordRep:
+    """Cl(2,0) conjugated by a rational unitary that mixes real and
+    imaginary parts.  U = 3/5 + (4i/5) sigma_x commutes with G_1 = sigma_x
+    and turns G_2 = sigma_z into -7/25 sigma_z + 24/25 sigma_y, which is
+    neither real nor imaginary."""
+    f = Fraction
+    u = ExactMatrix.from_rows([
+        [GaussianRational(f(3, 5)), GaussianRational(0, f(4, 5))],
+        [GaussianRational(0, f(4, 5)), GaussianRational(f(3, 5))],
+    ])
+    assert u.is_unitary()
+    rep = build_gammas(2, 0)
+    gammas = tuple(u @ g @ u.dagger() for g in rep.gammas)
+    assert gammas[0] == rep.gammas[0]
+    assert gammas[1].conj() not in (gammas[1], -gammas[1])
+    return CliffordRep(2, 0, gammas, rep.metric)
+
+
+def test_no_real_structure_for_generators_neither_real_nor_imaginary():
+    rep = _rotated_cl20()
+    with pytest.raises(RealStructureNotFound, match="neither real nor imaginary"):
+        find_real_structure(rep)
+    with pytest.raises(RealStructureNotFound):
+        lex_subset_real_structure(rep)
 
 
 # --- classification ------------------------------------------------------------

@@ -121,6 +121,31 @@ def test_malformed_rational_rejected():
     assert "chirality.entries[1].im" in str(err.value)
 
 
+def test_entry_location_counts_row_major_across_rows():
+    doc = _valid_doc()
+    doc["chirality"]["entries"][3]["re"] = "x"
+    with pytest.raises(ParseError) as err:
+        _parse(doc)
+    assert str(err.value).startswith("chirality.entries[3].re: malformed rational")
+    doc = _valid_doc()
+    doc["dirac"]["entries"][2] = ["1", "0"]
+    with pytest.raises(ParseError) as err:
+        _parse(doc)
+    assert str(err.value) == (
+        "dirac.entries[2]: entry must be an object with exactly the keys 're' and 'im'")
+
+
+def test_parsed_blocks_store_only_nonzeros():
+    doc = _valid_doc()
+    doc["dirac"]["entries"][2] = {"re": "0", "im": "1/3"}
+    t = parse_triple(json.dumps(doc).encode(), validate=False)
+    assert t.dirac.sparse_rows == (
+        ((1, GaussianRational(1)),),
+        ((0, GaussianRational(0, Fraction(1, 3))),),
+    )
+    assert t.dirac == ExactMatrix(2, 2, t.dirac.entries)
+
+
 @pytest.mark.parametrize("text,canonical", [
     ("-0", "0"), ("-00", "0"), ("002/2", "1"), ("2/4", "1/2"), ("3/1", "3"),
 ])

@@ -8,6 +8,7 @@ import dataclasses
 
 from kocalc.errors import (
     IncompleteSigns,
+    IndefiniteSign,
     InvalidComponent,
     NoChirality,
     NoTableMatch,
@@ -200,6 +201,56 @@ def test_frozen_incompatible_with_witness():
     assert v.status == "confirmed-incompatible"
     assert isinstance(v.prediction, Incompatible)
     assert "basis vector" in v.indefinite_witness
+
+
+@pytest.mark.parametrize("pq1,pq2,mode", [
+    ((2, 0), (2, 0), ProductMode.NATURAL),
+    ((4, 0), (1, 1), ProductMode.MODIFIED),
+])
+def test_indefinite_witness_text_is_pinned(pq1, pq2, mode):
+    v = verify_product(rep_triple(*pq1), rep_triple(*pq2), mode)
+    assert v.status == "confirmed-incompatible"
+    assert v.indefinite_witness == (
+        "basis vector e0: (JD - DJ)e0 != 0 and (JD + DJ)e0 != 0"
+    )
+
+
+def test_indefinite_sign_carries_the_compared_sides():
+    t = rep_triple(2, 0)
+    prod = product_triple(t, t, ProductMode.NATURAL)
+    k, d = prod.real_structure.k, prod.dirac
+    with pytest.raises(IndefiniteSign) as info:
+        extract_signs(prod)
+    assert info.value.sides == (k @ d.conj(), d @ k)
+
+
+@pytest.mark.parametrize("pq1", EVEN_PQ_SMALL)
+@pytest.mark.parametrize("pq2", EVEN_PQ_SMALL)
+def test_antiunitary_tensor_matches_checked_kron(pq1, pq2):
+    t1, t2 = rep_triple(*pq1), rep_triple(*pq2)
+    j1 = t1.real_structure
+    for j2 in (t2.real_structure, t2.real_structure.precompose_linear(t2.chirality)):
+        j = j1.tensor(j2)
+        assert j == Antiunitary(j1.k.kron(j2.k))
+        assert j.k.is_unitary()
+
+
+@pytest.mark.parametrize("mode,checks", [(ProductMode.NATURAL, 0), (ProductMode.MODIFIED, 1)])
+def test_product_checks_unitarity_only_of_the_twisted_factor(monkeypatch, mode, checks):
+    t1, t2 = rep_triple(3, 1), rep_triple(2, 0)
+    calls = []
+    is_unitary = ExactMatrix.is_unitary
+
+    def counted(m):
+        calls.append(m.rows)
+        return is_unitary(m)
+
+    monkeypatch.setattr(ExactMatrix, "is_unitary", counted)
+    reports = (validate_triple(t1), validate_triple(t2))
+    calls.clear()
+    product_triple(t1, t2, mode, reports)
+    # the modified mode's K2 conj(Omega2) is checked, the Kronecker product is not
+    assert calls == [t2.dim] * checks
 
 
 def test_not_falsifiable_when_second_dirac_vanishes():

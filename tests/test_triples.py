@@ -1,5 +1,7 @@
 """Finite triple construction, axiom validation, signs, KO lookup, twist, restriction."""
 
+from fractions import Fraction
+
 import pytest
 
 import kocalc.triples as triples_module
@@ -256,6 +258,23 @@ def test_validate_and_extract_matches_the_two_calls(t):
         assert got == (validate_triple(t), expected)
     else:
         assert got == expected
+
+
+def test_indefinite_sign_carries_the_sides_of_the_first_failing_relation():
+    f = GaussianRational
+    # D = 4 sigma_x - 3 sigma_y and Omega = (3 sigma_x + 4 sigma_y)/5 mix real
+    # and imaginary parts, so J = complex conjugation has no uniform sign
+    # against either; D is reported, being measured first.
+    d = mat([[0, f(4, 3)], [f(4, -3), 0]])
+    omega = mat([[0, f(Fraction(3, 5), Fraction(-4, 5))], [f(Fraction(3, 5), Fraction(4, 5)), 0]])
+    eye = ExactMatrix.identity(2)
+    both = FiniteSpectralTriple(2, (), d, omega, Antiunitary(eye))
+    only_omega = FiniteSpectralTriple(2, (), ExactMatrix.zeros(2, 2), omega, Antiunitary(eye))
+    for t, op, name in ((both, d, "D"), (only_omega, omega, "Omega")):
+        for call in (extract_signs, validate_and_extract):
+            with pytest.raises(IndefiniteSign, match=f"sign with {name}$") as info:
+                call(t)
+            assert info.value.sides == (op.conj(), op)
 
 
 def test_validation_reports_a_misshaped_generator():
