@@ -67,6 +67,10 @@ def _euclidean_gammas(n: int) -> list[ExactMatrix]:
 #: and each two more generators double the dimension.
 MAX_GENERATORS = 14
 
+#: The most generators classify_algebra accepts: it forms 2^(p+q), the real
+#: dimension, which has 309 decimal digits at this bound.
+MAX_CLASSIFY_GENERATORS = 1024
+
 
 @lru_cache(maxsize=None)
 def build_gammas(p: int, q: int) -> CliffordRep:
@@ -215,6 +219,10 @@ def classify_algebra(p: int, q: int) -> AlgebraClass:
     """
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
+    if p + q > MAX_CLASSIFY_GENERATORS:
+        raise TooManyGenerators(
+            f"p + q must be at most {MAX_CLASSIFY_GENERATORS} to classify Cl(p,q), "
+            f"got {p + q}")
     sigma = signature(p, q)
     base = _BASE_BY_SIGMA[sigma]
     stem = base.split("+")[0]

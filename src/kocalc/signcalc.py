@@ -9,7 +9,8 @@ representatives so the two routes can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 from .errors import AdditivityViolation, NoTableMatch
 from .products import (
@@ -18,7 +19,13 @@ from .products import (
     predicted_signs,
     verify_product,
 )
-from .triples import EPSILON_TABLE, SignTriple, canonical_triple, ko_from_signs
+from .triples import (
+    EPSILON_TABLE,
+    SignTriple,
+    canonical_triple,
+    extract_signs,
+    ko_from_signs,
+)
 
 #: Smallest gamma-representation realizing each even class (all of dim <= 4).
 MATRIX_REPRESENTATIVES: dict[int, tuple[int, int]] = {
@@ -27,6 +34,41 @@ MATRIX_REPRESENTATIVES: dict[int, tuple[int, int]] = {
     4: (4, 0),
     6: (0, 2),
 }
+
+
+def epsilon_table_cells() -> tuple[dict[int, dict[str, dict[str, Any]]], bool]:
+    """The sign table with the provenance of each cell, and whether it holds.
+
+    Each cell is ``{"value": sign or None, "provenance": "stored" or
+    "verified"}``.  The eps and eps'' cells of each class in
+    ``MATRIX_REPRESENTATIVES`` are measured on its canonical triple, and so
+    is eps' where that triple's D is nonzero; every other cell is the
+    stored ``EPSILON_TABLE`` value.  The flag is False when a measured sign
+    differs from the stored one.
+    """
+    cells: dict[int, dict[str, dict[str, Any]]] = {}
+    consistent = True
+    for sigma in range(8):
+        stored = EPSILON_TABLE[sigma]
+        row = {
+            "eps": {"value": stored.eps, "provenance": "stored"},
+            "eps_prime": {"value": stored.eps_prime, "provenance": "stored"},
+            "eps_dprime": {"value": stored.eps_dprime, "provenance": "stored"},
+        }
+        if sigma in MATRIX_REPRESENTATIVES:
+            p, q = MATRIX_REPRESENTATIVES[sigma]
+            measured = extract_signs(canonical_triple(p, q, "gamma1" if p >= 1 else "zero"))
+            row["eps"] = {"value": measured.eps, "provenance": "verified"}
+            row["eps_dprime"] = {"value": measured.eps_dprime, "provenance": "verified"}
+            if measured.eps_prime is not None:
+                row["eps_prime"] = {"value": measured.eps_prime, "provenance": "verified"}
+            if (measured.eps != stored.eps
+                    or measured.eps_dprime != stored.eps_dprime
+                    or (measured.eps_prime is not None
+                        and measured.eps_prime != stored.eps_prime)):
+                consistent = False
+        cells[sigma] = row
+    return cells, consistent
 
 
 @dataclass(frozen=True)
@@ -132,49 +174,66 @@ class ScenarioCase:
 
 
 @dataclass(frozen=True)
+class Scenario:
+    """A named product search: an even second factor that lands the product
+    of a first factor of each class in ``published`` in ``target_sigma``
+    with ``target_signs``.  ``published`` holds the answers the paper
+    states, written out rather than computed, so that a report can be
+    checked against them."""
+
+    mode: ProductMode
+    target_sigma: int
+    target_signs: SignTriple
+    published: tuple[ScenarioCase, ...]
+
+
+#: ``connes``: natural mode, first factor of class 4, target class 6 with
+#: signs (-1, +1, -1); the unique answer is sigma2 = 2.
+#: ``barrett``: modified mode, first factor of class 2 or 6, target class 0
+#: with signs (+1, +1, +1); the answers are sigma2 = 6 and sigma2 = 2.
+SCENARIOS: dict[str, Scenario] = {
+    "connes": Scenario(ProductMode.NATURAL, 6, SignTriple(-1, +1, -1),
+                       (ScenarioCase(4, (2,)),)),
+    "barrett": Scenario(ProductMode.MODIFIED, 0, SignTriple(+1, +1, +1),
+                        (ScenarioCase(2, (6,)), ScenarioCase(6, (2,)))),
+}
+
+
+@dataclass(frozen=True)
 class ScenarioReport:
     name: str
     mode: ProductMode
     target_sigma: int
     target_signs: SignTriple
     cases: tuple[ScenarioCase, ...]
+    published: tuple[ScenarioCase, ...]
 
     @property
     def expected(self) -> dict[int, tuple[int, ...]]:
+        """The solutions the calculus finds, by first-factor class."""
         return {c.sigma1: c.solutions for c in self.cases}
+
+    @property
+    def matches_expected(self) -> bool:
+        """Whether the calculus finds exactly the published answers."""
+        return self.cases == self.published
 
 
 def scenario_check(name: str) -> ScenarioReport:
-    """Replay the two named product searches on the calculus.
-
-    ``connes``:  natural mode, even first factor of class 4, looking for
-    an even second factor landing the product in class 6 with signs
-    (-1, +1, -1); the unique answer is sigma2 = 2.
-
-    ``barrett``: modified mode, first factor of class 2 or 6, looking
-    for class 0 with signs (+1, +1, +1); the answers are sigma2 = 6 and
-    sigma2 = 2 respectively.
-    """
-    if name == "connes":
-        mode = ProductMode.NATURAL
-        target_sigma, target = 6, SignTriple(-1, +1, -1)
-        firsts: tuple[int, ...] = (4,)
-    elif name == "barrett":
-        mode = ProductMode.MODIFIED
-        target_sigma, target = 0, SignTriple(+1, +1, +1)
-        firsts = (2, 6)
-    else:
+    """Replay a named product search of ``SCENARIOS`` on the calculus."""
+    if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; use 'connes' or 'barrett'")
-    cases = []
-    for sigma1 in firsts:
-        sols = tuple(
+    sc = SCENARIOS[name]
+    cases = tuple(
+        ScenarioCase(case.sigma1, tuple(
             e.sigma2
-            for e in enumerate_compatible(sigma1, mode)
+            for e in enumerate_compatible(case.sigma1, sc.mode)
             if e.compatible and e.sigma2 % 2 == 0
-            and e.sigma_product == target_sigma and e.signs == target
-        )
-        cases.append(ScenarioCase(sigma1, sols))
-    return ScenarioReport(name, mode, target_sigma, target, tuple(cases))
+            and e.sigma_product == sc.target_sigma and e.signs == sc.target_signs
+        ))
+        for case in sc.published
+    )
+    return ScenarioReport(name, sc.mode, sc.target_sigma, sc.target_signs, cases, sc.published)
 
 
 def additivity_scan() -> tuple[CompatibilityEntry, ...]:

@@ -1,16 +1,21 @@
 """Command-line behaviour: exit codes, output channels, JSON mode."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import kocalc.cli as cli_module
 import kocalc.products as products_module
+import kocalc.signcalc as signcalc_module
 from kocalc.cli import run_cli
+from kocalc.signcalc import ScenarioCase
 
 
 def _env_with_src() -> dict:
@@ -54,6 +59,23 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "classify", "--p", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys)[0] == 2
+
+
+def test_classify_at_the_generator_bound(capsys):
+    code, doc, _ = run_json(capsys, "classify", "--p", "1024", "--q", "0")
+    assert code == 0
+    assert doc["real_dimension"] == 2 ** 1024
+
+
+@pytest.mark.parametrize("p", ["1025", "2000000"])
+def test_classify_beyond_the_generator_bound_exits_2_at_once(capsys, p):
+    for mode in ((), ("--json",)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--p", p, "--q", "0", *mode)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err == f"error: p + q must be at most 1024 to classify Cl(p,q), got {p}\n"
 
 
 # --- epsilon-table ------------------------------------------------------------
@@ -269,6 +291,19 @@ def test_scenario_barrett_json(capsys):
     assert {"sigma1": 6, "solutions": [2]} in doc["cases"]
 
 
+def test_scenario_with_a_wrong_expectation_exits_1(capsys, monkeypatch):
+    wrong = replace(signcalc_module.SCENARIOS["connes"], published=(ScenarioCase(4, (6,)),))
+    monkeypatch.setitem(signcalc_module.SCENARIOS, "connes", wrong)
+    code, out, _ = run(capsys, "scenario", "--name", "connes")
+    assert code == 1
+    assert "even σ₂ solutions {2} (expected {6})" in out
+    assert "MISMATCH" in out
+    code, doc, _ = run_json(capsys, "scenario", "--name", "connes")
+    assert code == 1
+    assert doc["matches_expected"] is False
+    assert doc["expected"] == {"4": [6]}
+
+
 # --- twist / restrict ----------------------------------------------------------------------
 
 
@@ -335,3 +370,75 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["sigma"] == 6
+
+
+# --- the shared parser --------------------------------------------------------------
+
+
+def test_run_cli_builds_no_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
+    code, doc, _ = run_json(capsys, "classify", "--p", "1", "--q", "3")
+    assert code == 0 and doc["sigma"] == 6
+    assert run(capsys, "nonsense")[0] == 2
+
+
+def test_parser_defaults_do_not_carry_over(tmp_path, capsys):
+    out = str(tmp_path / "t.json")
+    code, doc, _ = run_json(capsys, "make-triple", "--p", "2", "--q", "0",
+                            "--dirac", "gamma1", "--out", out)
+    assert code == 0 and doc["dirac"] == "gamma1"
+    code, doc, _ = run_json(capsys, "make-triple", "--p", "2", "--q", "0", "--out", out)
+    assert code == 0 and doc["dirac"] == "zero"
+    assert json.loads(Path(out).read_text())["metadata"]["dirac"] == "zero"
+
+
+def test_product_out_does_not_carry_over(triple_files, tmp_path, capsys):
+    a = triple_files(4, 0, "gamma1")
+    b = triple_files(2, 0, "gamma1")
+    out = tmp_path / "prod.json"
+    code, doc, _ = run_json(capsys, "product", "--mode", "natural", a, b, "--out", str(out))
+    assert code == 0 and doc["out"] == str(out)
+    out.unlink()
+    code, text, _ = run(capsys, "product", "--mode", "natural", a, b, "--json")
+    assert code == 0 and '"out": null' in text
+    assert not out.exists()
+
+
+def test_usage_error_then_valid_command(capsys):
+    code, out, err = run(capsys, "classify", "--p", "1", "--json")
+    assert code == 2 and out == "" and "--q" in err
+    code, out, err = run(capsys, "classify", "--p", "0", "--q", "2")
+    assert code == 0 and err == ""
+    assert out.startswith("Cl(0,2) ≅ H, σ=6")
+    code, out, err = run(capsys, "enumerate", "--sigma1", "9", "--mode", "natural")
+    assert code == 2 and out == ""
+    code, doc, err = run_json(capsys, "enumerate", "--sigma1", "4", "--mode", "natural")
+    assert code == 0 and err == "" and doc["sigma1"] == 4
+
+
+def test_importing_the_library_leaves_the_cli_out():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kocalc; print('kocalc.cli' in sys.modules)"],
+        capture_output=True, text=True, env=_env_with_src(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_commands_call_the_library_through_module_names(capsys, monkeypatch):
+    # a tracer rebinds these names; a callable captured at import would escape it
+    calls = []
+    original = cli_module.enumerate_compatible
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli_module, "enumerate_compatible", counting)
+    assert run(capsys, "enumerate", "--sigma1", "4", "--mode", "natural")[0] == 0
+    assert len(calls) == 1

@@ -1,17 +1,24 @@
 """Pure sign-table calculus: grids, annotations, scenarios, consistency scans."""
 
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 
+import kocalc.signcalc as signcalc_module
 from kocalc.products import ProductMode
 from kocalc.signcalc import (
     MATRIX_REPRESENTATIVES,
+    SCENARIOS,
+    ScenarioCase,
     additivity_scan,
     case_annotations,
     enumerate_compatible,
+    epsilon_table_cells,
     matrix_calculus_agreement,
     scenario_check,
 )
-from kocalc.triples import SignTriple
+from kocalc.triples import EPSILON_TABLE, SignTriple
 
 EVEN = (0, 2, 4, 6)
 ODD = (1, 3, 5, 7)
@@ -149,6 +156,67 @@ def test_barrett_scenario():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
         scenario_check("nonesuch")
+
+
+def test_scenarios_match_the_published_answers():
+    # the published answers are written out, independent of the calculus
+    assert SCENARIOS["connes"].published == (ScenarioCase(4, (2,)),)
+    assert SCENARIOS["barrett"].published == (ScenarioCase(2, (6,)), ScenarioCase(6, (2,)))
+    for name in SCENARIOS:
+        report = scenario_check(name)
+        assert report.published == SCENARIOS[name].published
+        assert report.matches_expected is True
+
+
+def test_scenario_reports_a_wrong_expectation(monkeypatch):
+    wrong = replace(SCENARIOS["barrett"],
+                    published=(ScenarioCase(2, (6,)), ScenarioCase(6, (2, 4))))
+    monkeypatch.setitem(signcalc_module.SCENARIOS, "barrett", wrong)
+    report = scenario_check("barrett")
+    assert report.expected == {2: (6,), 6: (2,)}  # what the calculus finds
+    assert report.matches_expected is False
+
+
+# --- epsilon table provenance ---------------------------------------------------------------
+
+
+def test_epsilon_table_cells_hold_the_table_with_provenance():
+    cells, consistent = epsilon_table_cells()
+    assert consistent is True
+    assert sorted(cells) == list(range(8))
+    for sigma, row in cells.items():
+        stored = EPSILON_TABLE[sigma]
+        assert {k: c["value"] for k, c in row.items()} == {
+            "eps": stored.eps, "eps_prime": stored.eps_prime, "eps_dprime": stored.eps_dprime}
+        verified = {k for k, c in row.items() if c["provenance"] == "verified"}
+        if sigma not in MATRIX_REPRESENTATIVES:
+            assert verified == set()
+        elif sigma == 6:  # the (0,2) representative has D = 0: eps' stays stored
+            assert verified == {"eps", "eps_dprime"}
+        else:
+            assert verified == {"eps", "eps_prime", "eps_dprime"}
+
+
+@pytest.mark.parametrize("sigma, wrong", [
+    (2, SignTriple(-1, +1, -1)),  # eps
+    (4, SignTriple(-1, -1, +1)),  # eps'
+    (0, SignTriple(+1, +1, -1)),  # eps''
+])
+def test_epsilon_table_cells_flag_a_wrong_stored_sign(sigma, wrong):
+    with mock.patch.dict(EPSILON_TABLE, {sigma: wrong}):
+        cells, consistent = epsilon_table_cells()
+    assert consistent is False
+    assert {k: c["value"] for k, c in cells[sigma].items()} == {
+        "eps": EPSILON_TABLE[sigma].eps, "eps_prime": EPSILON_TABLE[sigma].eps_prime,
+        "eps_dprime": EPSILON_TABLE[sigma].eps_dprime}
+
+
+def test_epsilon_table_cells_ignore_a_stored_only_cell():
+    # eps' at sigma = 6 is not measured, so a change there goes unnoticed
+    with mock.patch.dict(EPSILON_TABLE, {6: SignTriple(-1, -1, -1)}):
+        cells, consistent = epsilon_table_cells()
+    assert consistent is True
+    assert cells[6]["eps_prime"] == {"value": -1, "provenance": "stored"}
 
 
 # --- global scans -------------------------------------------------------------------------

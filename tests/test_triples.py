@@ -28,7 +28,8 @@ from kocalc.triples import (
     validate_and_extract,
     validate_triple,
 )
-from kocalc.products import ProductMode, verify_product
+from kocalc.products import ProductMode, product_triple, verify_product
+from kocalc.triple_io import parse_triple, serialize_triple
 
 from oracles import sympy_real_fixed_dim
 
@@ -297,6 +298,48 @@ def test_verify_product_measures_each_triple_once(monkeypatch):
     t1, t2 = canonical_triple(2, 0, "gamma1"), canonical_triple(1, 1, "gamma1")
     v = verify_product(t1, t2, ProductMode.NATURAL)
     assert measured == [t1, t2, v.product]
+
+
+def _unitarity_cases():
+    """Canonical, twisted and product triples, products in both modes."""
+    canon = [canonical_triple(p, q, mode) for p, q in EVEN_PQ[:8] for mode in dirac_modes(p)]
+    twisted = [twist_real_structure(t) for t in canon]
+    t20, t40, t02 = (canonical_triple(2, 0, "gamma1"), canonical_triple(4, 0, "gamma1"),
+                     canonical_triple(0, 2, "zero"))
+    products = [product_triple(a, b, mode)
+                for a in (t20, t40) for b in (t20, t02) for mode in ProductMode]
+    return canon + twisted + products
+
+
+@pytest.mark.parametrize("t", _unitarity_cases())
+def test_unitarity_entry_equals_a_fresh_unitarity_check(t):
+    # validate_triple no longer recomputes K^dagger K: the entry must still
+    # say what the check would say
+    report = validate_triple(t)
+    entry = next(c for c in report.checks if c.name == "real_structure_unitary")
+    assert entry.passed is t.real_structure.k.is_unitary() is True
+    assert entry.witness is None
+
+
+def test_non_unitary_real_structure_is_rejected_on_construction():
+    with pytest.raises(ValueError, match="unitary"):
+        Antiunitary(mat([[1, 1], [0, 1]]))
+    with pytest.raises(ValueError, match="unitary"):
+        Antiunitary(ExactMatrix.identity(2).scaled(2))
+
+
+def test_validation_checks_unitarity_only_on_construction(monkeypatch):
+    calls = []
+    original = ExactMatrix.is_unitary
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    data = serialize_triple(canonical_triple(4, 4, "gamma1"), {})
+    monkeypatch.setattr(ExactMatrix, "is_unitary", counting)
+    parse_triple(data, validate=True)
+    assert len(calls) == 1  # the parser's Antiunitary(...), not validate_triple
 
 
 # --- KO lookup --------------------------------------------------------------------------
