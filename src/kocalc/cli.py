@@ -24,8 +24,10 @@ from pathlib import Path
 from .clifford import classify_algebra, signature, theta_square_sign
 from .errors import (
     AdditivityViolation,
+    InconsistentClassification,
     IncompleteSigns,
     IndefiniteSign,
+    InvalidArgument,
     InvalidComponent,
     InvalidTriple,
     NoChirality,
@@ -33,6 +35,7 @@ from .errors import (
     NoTableMatch,
     NotInvolutive,
     NotSignInvolutive,
+    NotUnitary,
     OddDimensionUnsupported,
     ParseError,
     RealStructureNotFound,
@@ -67,13 +70,14 @@ from .triples import (
 
 _USAGE_ERRORS = (
     ParseError, UnsupportedVersion, OddDimensionUnsupported, TooManyGenerators,
-    NoHermitianGenerator, FileNotFoundError, IsADirectoryError,
-    PermissionError, ValueError,
+    NoHermitianGenerator, InvalidArgument, FileNotFoundError, IsADirectoryError,
+    PermissionError,
 )
 _MATH_ERRORS = (
     InvalidTriple, NoChirality, RestrictionUndefined, InvalidComponent,
     NotSignInvolutive, IndefiniteSign, IncompleteSigns, NoTableMatch,
-    AdditivityViolation, NotInvolutive, RealStructureNotFound,
+    AdditivityViolation, NotInvolutive, RealStructureNotFound, NotUnitary,
+    InconsistentClassification,
 )
 
 
@@ -177,7 +181,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[dict, int]:
     report = validate_triple(triple)
     signs = ko = ko_error = None
     if report.passed:
-        signs = extract_signs(triple)
+        signs = report.signs
         parity = "even" if triple.chirality is not None else "odd"
         try:
             ko = ko_from_signs(signs, parity)

@@ -21,7 +21,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import OddDimensionUnsupported, RealStructureNotFound, TooManyGenerators
+from .errors import (
+    InconsistentClassification,
+    InvalidArgument,
+    OddDimensionUnsupported,
+    RealStructureNotFound,
+    TooManyGenerators,
+)
 from .linalg import Antiunitary, ExactMatrix, GR_I, GaussianRational
 
 SIGMA_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
@@ -76,7 +82,7 @@ MAX_CLASSIFY_GENERATORS = 1024
 def build_gammas(p: int, q: int) -> CliffordRep:
     """Construct the canonical generators of Cl(p,q) for even p + q, 2 <= p + q <= 14."""
     if p < 0 or q < 0:
-        raise ValueError("p and q must be nonnegative")
+        raise InvalidArgument("p and q must be nonnegative")
     n = p + q
     if n > MAX_GENERATORS:
         raise TooManyGenerators(
@@ -85,7 +91,7 @@ def build_gammas(p: int, q: int) -> CliffordRep:
     if n % 2 != 0:
         raise OddDimensionUnsupported(f"p + q must be even, got {n}")
     if n < 2:
-        raise ValueError("need at least two generators")
+        raise InvalidArgument("need at least two generators")
     gammas = _euclidean_gammas(n)
     for a in range(p, n):
         gammas[a] = gammas[a].scaled(GR_I)
@@ -218,7 +224,7 @@ def classify_algebra(p: int, q: int) -> AlgebraClass:
     dim_R(base).
     """
     if p < 0 or q < 0:
-        raise ValueError("p and q must be nonnegative")
+        raise InvalidArgument("p and q must be nonnegative")
     if p + q > MAX_CLASSIFY_GENERATORS:
         raise TooManyGenerators(
             f"p + q must be at most {MAX_CLASSIFY_GENERATORS} to classify Cl(p,q), "
@@ -230,10 +236,10 @@ def classify_algebra(p: int, q: int) -> AlgebraClass:
     total = 2 ** (p + q)
     k_sq, rem = divmod(total, _BASE_REAL_DIM[stem] * summands)
     if rem:
-        raise ValueError(f"real dimension {total} is not divisible as required")
+        raise InconsistentClassification(f"real dimension {total} is not divisible as required")
     k = math.isqrt(k_sq)
     if k * k != k_sq:
-        raise ValueError(f"matrix size squared {k_sq} is not a perfect square")
+        raise InconsistentClassification(f"matrix size squared {k_sq} is not a perfect square")
     label = _unitary_label(stem, k)
     if summands == 2:
         label = f"{label} × {label}"

@@ -12,6 +12,14 @@ class KocalcError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(KocalcError, ValueError):
+    """An argument lies outside the values the function accepts.
+
+    It is also a ``ValueError``, so a caller that catches ``ValueError``
+    for a bad argument keeps working.
+    """
+
+
 # --- exact linear algebra ---------------------------------------------------
 
 class DimensionMismatch(KocalcError):
@@ -20,6 +28,11 @@ class DimensionMismatch(KocalcError):
 
 class NotInvolutive(KocalcError):
     """An antiunitary operator was required to square to +identity."""
+
+
+class NotUnitary(KocalcError, ValueError):
+    """An antiunitary operator's linear part is not unitary.  Also a
+    ``ValueError``, as ``InvalidArgument`` is."""
 
 
 # --- Clifford representations -----------------------------------------------
@@ -38,6 +51,11 @@ class RealStructureNotFound(KocalcError):
 
 class NoHermitianGenerator(KocalcError):
     """A hermitian generator was requested but every generator is anti-hermitian."""
+
+
+class InconsistentClassification(KocalcError):
+    """The classification table gives no matrix algebra of the real dimension
+    2^(p+q); like AdditivityViolation, it means a table is wrong."""
 
 
 # --- spectral triples ---------------------------------------------------------

@@ -11,11 +11,16 @@ An ``ExactMatrix`` stores only its nonzero entries: one tuple per row of
 ``(column, value)`` pairs in increasing column order, and a zero is never
 stored.  That form is canonical, so equality and hashing compare the
 stored rows directly, and every kernel costs time in proportion to the
-nonzeros it touches.  The product is Gustavson's row-by-row method and
-rank is Gaussian elimination on sparse rows.  The matrices the Clifford
-layer builds are monomial (one nonzero per row), where both are linear
-in the dimension.  ``entries``, ``entry`` and ``row`` give the dense view
-that serialization and display read.
+nonzeros it touches.  The product is Gustavson's row-by-row method; the
+matrices the Clifford layer builds are monomial (one nonzero per row),
+where it is linear in the dimension.  ``entries``, ``entry`` and ``row``
+give the dense view that serialization and display read.
+
+The package solves no linear systems: the Majorana-Weyl dimensions come
+from the real-form theorem (see ``triples.restrict_majorana_weyl``).
+``rank``, Gaussian elimination on sparse rows, is the one elimination
+left; nothing in the package calls it, and it stays public because the
+benchmark's tracer (``kobench/tracing.py``) wraps it by name.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch, NotInvolutive
+from .errors import DimensionMismatch, NotUnitary
 
 Rationalish = Union[int, Fraction]
 Scalarish = Union["GaussianRational", int, Fraction]
@@ -290,6 +295,12 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def trace(self) -> GaussianRational:
+        """The sum of the diagonal entries of a square matrix."""
+        if not self.is_square:
+            raise DimensionMismatch(f"trace of a non-square {self.rows}x{self.cols} matrix")
+        return sum((self.entry(i, i) for i in range(self.rows)), GR_ZERO)
+
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
 
@@ -463,10 +474,6 @@ def rank(m: ExactMatrix) -> int:
     return r
 
 
-def kernel_dim(m: ExactMatrix) -> int:
-    return m.cols - rank(m)
-
-
 # --- antiunitary operators ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -484,7 +491,7 @@ class Antiunitary:
         if not self.k.is_square:
             raise DimensionMismatch("antiunitary linear part must be square")
         if not self.k.is_unitary():
-            raise ValueError("antiunitary linear part must be unitary")
+            raise NotUnitary("antiunitary linear part must be unitary")
 
     @property
     def dim(self) -> int:
@@ -509,67 +516,3 @@ class Antiunitary:
         j = object.__new__(Antiunitary)
         _set(j, "k", self.k.kron(other.k))
         return j
-
-
-def _parts(row: SparseRow, i: int, shift: int) -> tuple[dict, dict]:
-    """Real and imaginary parts of row i of a square matrix, plus shift at (i, i)."""
-    re = {t: v.re for t, v in row}
-    re[i] = re.get(i, 0) + shift
-    return re, {t: v.im for t, v in row}
-
-
-def _fixed_point_system(j: Antiunitary, fixed_ops: Sequence[ExactMatrix]) -> ExactMatrix:
-    """Real-linear system whose kernel is {v : j(v) = v and M v = v for each M}.
-
-    Writing v = x + i y and k = A + i B, the fixed-point equation
-    k @ conj(v) = v splits into (A - I) x + B y = 0 and B x - (A + I) y = 0.
-    Each additional linear constraint M = P + i Q contributes
-    (P - I) x - Q y = 0 and Q x + (P - I) y = 0.  All blocks are real, so
-    the kernel dimension over the rationals is the real dimension sought.
-    Rows come block by block in that order: n rows for each equation.
-    """
-    n = j.dim
-
-    def joined(left: dict, right: dict, negate_right: bool) -> SparseRow:
-        """The row [left | right] (or [left | -right]) of the real system."""
-        row = [(t, GaussianRational(x)) for t, x in sorted(left.items()) if x]
-        row += [(n + t, GaussianRational(-x if negate_right else x))
-                for t, x in sorted(right.items()) if x]
-        return tuple(row)
-
-    blocks: list[list[SparseRow]] = [[], []]
-    for i, krow in enumerate(j.k.sparse_rows):
-        a_minus, b = _parts(krow, i, -1)
-        a_plus, _ = _parts(krow, i, 1)
-        blocks[0].append(joined(a_minus, b, False))
-        blocks[1].append(joined(b, a_plus, True))
-    for m_op in fixed_ops:
-        if m_op.rows != n or m_op.cols != n:
-            raise DimensionMismatch("constraint operator shape does not match the antiunitary")
-        first: list[SparseRow] = []
-        second: list[SparseRow] = []
-        for i, mrow in enumerate(m_op.sparse_rows):
-            p_minus, q = _parts(mrow, i, -1)
-            first.append(joined(p_minus, q, True))
-            second.append(joined(q, p_minus, False))
-        blocks += [first, second]
-    rows = tuple(row for block in blocks for row in block)
-    return ExactMatrix._of(len(rows), 2 * n, rows)
-
-
-def real_fixed_dim(j: Antiunitary) -> int:
-    """Real dimension of the fixed subspace {v : j(v) = v}.
-
-    Requires j o j = +identity; a j with j o j = -identity has no fixed
-    vectors besides 0 and is rejected as NotInvolutive.
-    """
-    if not j.squared().is_identity():
-        raise NotInvolutive("antiunitary does not square to +identity")
-    return kernel_dim(_fixed_point_system(j, ()))
-
-
-def real_fixed_dim_constrained(j: Antiunitary, fixed_ops: Iterable[ExactMatrix]) -> int:
-    """Real dimension of {v : j(v) = v and M v = v for every M in fixed_ops}."""
-    if not j.squared().is_identity():
-        raise NotInvolutive("antiunitary does not square to +identity")
-    return kernel_dim(_fixed_point_system(j, tuple(fixed_ops)))

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from .errors import (
     IncompleteSigns,
     IndefiniteSign,
+    InvalidArgument,
     InvalidComponent,
     NoChirality,
     NoTableMatch,
@@ -90,7 +91,7 @@ def product_triple(
     elif mode is ProductMode.MODIFIED:
         j2 = t2.real_structure.precompose_linear(t2.chirality)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
     gens = tuple(a.kron(eye2) for a in t1.algebra_gens) + tuple(
         eye1.kron(b) for b in t2.algebra_gens
     )
@@ -145,7 +146,7 @@ def predicted_signs(
         eps_dprime = s1.eps_dprime * s2.eps_dprime
         return SignTriple(eps, s1.eps_prime, eps_dprime)
 
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InvalidArgument(f"unknown mode {mode!r}")
 
 
 # --- matrix-level verification -----------------------------------------------------
@@ -200,8 +201,15 @@ class ProductVerification:
     notes: tuple[str, ...] = field(default=())
 
 
+#: A factor's ``validate_and_extract`` result: its report and its signs.
+Measured = tuple[ValidationReport, SignTriple]
+
+
 def verify_product(
-    t1: FiniteSpectralTriple, t2: FiniteSpectralTriple, mode: ProductMode
+    t1: FiniteSpectralTriple,
+    t2: FiniteSpectralTriple,
+    mode: ProductMode,
+    measured: tuple[Measured, Measured] | None = None,
 ) -> ProductVerification:
     """Predict the product signs from the components, then measure them.
 
@@ -211,9 +219,13 @@ def verify_product(
     component Dirac vanishes, the conflicting term of D is absent and
     the incompatibility is not falsifiable at matrix level; the report
     says so and records which component supplied the eps' evidence.
+
+    ``measured`` are the factors' ``validate_and_extract`` results, for a
+    caller that has them already; without them each factor is measured here.
     """
-    report1, s1 = validate_and_extract(t1)
-    report2, s2 = validate_and_extract(t2)
+    if measured is None:
+        measured = (validate_and_extract(t1), validate_and_extract(t2))
+    (report1, s1), (report2, s2) = measured
     sigma1 = ko_from_signs(s1, "even")
     sigma2 = ko_from_signs(s2, "even")
 

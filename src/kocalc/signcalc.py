@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import AdditivityViolation, NoTableMatch
+from .errors import AdditivityViolation, InvalidArgument, NoTableMatch
 from .products import (
     Incompatible,
     ProductMode,
@@ -25,6 +25,7 @@ from .triples import (
     canonical_triple,
     extract_signs,
     ko_from_signs,
+    validate_and_extract,
 )
 
 #: Smallest gamma-representation realizing each even class (all of dim <= 4).
@@ -88,10 +89,10 @@ class CompatibilityEntry:
     def __post_init__(self) -> None:
         if self.compatible:
             if self.sigma_product is None or self.violated_relation is not None or self.undefined:
-                raise ValueError("compatible entries carry a product class and no violation")
+                raise InvalidArgument("compatible entries carry a product class and no violation")
         else:
             if self.violated_relation is None:
-                raise ValueError("incompatible entries must name the violated relation")
+                raise InvalidArgument("incompatible entries must name the violated relation")
 
     @property
     def status(self) -> str:
@@ -138,7 +139,7 @@ def _entry(sigma1: int, sigma2: int, mode: ProductMode) -> CompatibilityEntry:
 def enumerate_compatible(sigma1: int, mode: ProductMode) -> tuple[CompatibilityEntry, ...]:
     """All eight sigma2 cells for a fixed first-factor class and mode."""
     if sigma1 not in range(8):
-        raise ValueError(f"sigma1 must be in 0..7, got {sigma1}")
+        raise InvalidArgument(f"sigma1 must be in 0..7, got {sigma1}")
     return tuple(_entry(sigma1, sigma2, mode) for sigma2 in range(8))
 
 
@@ -222,7 +223,7 @@ class ScenarioReport:
 def scenario_check(name: str) -> ScenarioReport:
     """Replay a named product search of ``SCENARIOS`` on the calculus."""
     if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; use 'connes' or 'barrett'")
+        raise InvalidArgument(f"unknown scenario {name!r}; use 'connes' or 'barrett'")
     sc = SCENARIOS[name]
     cases = tuple(
         ScenarioCase(case.sigma1, tuple(
@@ -277,19 +278,21 @@ def matrix_calculus_agreement() -> tuple[AgreementRow, ...]:
     ((0,2) has none and keeps D = 0).  A cell is consistent when a
     compatible entry is confirmed with the additive class at matrix
     level, and an incompatible entry is either exhibited concretely or
-    not falsifiable because a component D vanishes.
+    not falsifiable because a component D vanishes.  Each representative
+    is validated and measured once, not once per cell.
     """
     rows: list[AgreementRow] = []
     triples = {
         sigma: canonical_triple(p, q, "gamma1" if p >= 1 else "zero")
         for sigma, (p, q) in MATRIX_REPRESENTATIVES.items()
     }
+    measured = {sigma: validate_and_extract(t) for sigma, t in triples.items()}
     for mode in ProductMode:
         for sigma1, t1 in triples.items():
             entries = enumerate_compatible(sigma1, mode)
             for sigma2, t2 in triples.items():
                 entry = entries[sigma2]
-                v = verify_product(t1, t2, mode)
+                v = verify_product(t1, t2, mode, (measured[sigma1], measured[sigma2]))
                 if entry.compatible:
                     consistent = (
                         v.status == "confirmed-compatible"

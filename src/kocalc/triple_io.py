@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .errors import InvalidTriple, ParseError, UnsupportedVersion
+from .errors import InvalidTriple, NotUnitary, ParseError, UnsupportedVersion
 from .linalg import Antiunitary, ExactMatrix, GaussianRational
 from .triples import FiniteSpectralTriple, validate_triple
 
@@ -158,7 +158,7 @@ class TripleDocument:
     def to_triple(self) -> FiniteSpectralTriple:
         try:
             j = Antiunitary(self.real_structure_k)
-        except ValueError as exc:
+        except NotUnitary as exc:
             raise InvalidTriple(f"real_structure_k: {exc}") from exc
         return FiniteSpectralTriple(
             dim=self.dim,

@@ -23,19 +23,15 @@ from .clifford import build_gammas, chirality, find_real_structure, signature
 from .errors import (
     IncompleteSigns,
     IndefiniteSign,
+    InvalidArgument,
+    InvalidTriple,
     NoChirality,
     NoHermitianGenerator,
     NoTableMatch,
     NotSignInvolutive,
     RestrictionUndefined,
 )
-from .linalg import (
-    Antiunitary,
-    ExactMatrix,
-    as_sign_times_identity,
-    real_fixed_dim,
-    real_fixed_dim_constrained,
-)
+from .linalg import Antiunitary, ExactMatrix, as_sign_times_identity
 
 
 def _sign_str(s: int | None) -> str:
@@ -56,9 +52,9 @@ class SignTriple:
         for name in ("eps", "eps_prime", "eps_dprime"):
             v = getattr(self, name)
             if v is not None and (isinstance(v, bool) or v not in (1, -1)):
-                raise ValueError(f"{name} must be +1, -1 or None, got {v!r}")
+                raise InvalidArgument(f"{name} must be +1, -1 or None, got {v!r}")
         if self.eps is None:  # pragma: no cover - eps has no None default
-            raise ValueError("eps is required")
+            raise InvalidArgument("eps is required")
 
     def __str__(self) -> str:
         return f"({_sign_str(self.eps)}, {_sign_str(self.eps_prime)}, {_sign_str(self.eps_dprime)})"
@@ -115,7 +111,7 @@ def canonical_triple(p: int, q: int, dirac_mode: DiracMode = "zero") -> FiniteSp
     elif dirac_mode == "zero":
         dirac = ExactMatrix.zeros(rep.dim, rep.dim)
     else:
-        raise ValueError(f"unknown dirac_mode {dirac_mode!r}")
+        raise InvalidArgument(f"unknown dirac_mode {dirac_mode!r}")
     return FiniteSpectralTriple(
         dim=rep.dim,
         algebra_gens=(),
@@ -137,6 +133,10 @@ class AxiomCheck:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[AxiomCheck, ...]
+    #: J's signs as the validation measured them; None when the operator
+    #: shapes fail, J o J is not +-I, or J has no uniform sign against D
+    #: or Omega
+    signs: SignTriple | None = None
 
     @property
     def passed(self) -> bool:
@@ -278,6 +278,9 @@ def _validate(t: FiniteSpectralTriple) -> tuple[ValidationReport, _Measured | No
 
     measured = _measure_signs(t)
     eps, eps_prime, eps_dprime, _sides = measured
+    signs = None
+    if eps is not None and eps_prime != 0 and eps_dprime != 0:
+        signs = SignTriple(eps, eps_prime, eps_dprime)
     add("real_structure_sign_involutive", eps is not None,
         "K conj(K) is not +-identity")
     add("real_structure_vs_dirac", eps_prime != 0,  # None (D = 0) passes
@@ -294,7 +297,7 @@ def _validate(t: FiniteSpectralTriple) -> tuple[ValidationReport, _Measured | No
             add(f"order_zero_{i}_{j}", comm.is_zero(),
                 f"[gen {i}, J gen{j}^dagger J^-1] != 0")
 
-    return ValidationReport(tuple(checks)), measured
+    return ValidationReport(tuple(checks), signs), measured
 
 
 # --- sign extraction and table lookup -------------------------------------------
@@ -327,7 +330,7 @@ def ko_from_signs(signs: SignTriple, parity: Literal["even", "odd"]) -> int:
         if signs.eps_prime is None:
             raise IncompleteSigns("odd lookup needs eps'")
         return _ODD_LOOKUP[(signs.eps, signs.eps_prime)]
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    raise InvalidArgument(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
 # --- twisting and restriction -----------------------------------------------------
@@ -353,15 +356,26 @@ def twist_real_structure(t: FiniteSpectralTriple) -> FiniteSpectralTriple:
 def restrict_majorana_weyl(t: FiniteSpectralTriple) -> tuple[int, int]:
     """Real dimensions of {J v = v} and of {J v = v, Omega v = v}.
 
-    Defined only when eps = +1 (so J has fixed vectors) and eps'' = +1
-    (so J preserves the chirality eigenspaces).
+    The triple must pass validation (else InvalidTriple), and the
+    dimensions are defined only when eps = +1 (so J has fixed vectors) and
+    eps'' = +1 (so J preserves the chirality eigenspaces).  They are then
+    read off, with no linear system solved.  An antilinear J with J o J = I
+    on C^n splits every v as (v + Jv)/2 + i (v - Jv)/(2i), both parts fixed
+    by J, so its fixed set is a real form of C^n: real dimension n.  When
+    J also commutes with the hermitian involution Omega, J maps
+    ker(Omega - I) to itself, and the same split there gives real
+    dimension dim_C ker(Omega - I) = (n + tr Omega)/2.
     """
-    signs = extract_signs(t)
+    report, signs = validate_and_extract(t)
+    if not report.passed:
+        names = ", ".join(c.name for c in report.failures)
+        raise InvalidTriple(f"triple fails validation: {names}")
     if signs.eps != +1 or signs.eps_dprime != +1:
         raise RestrictionUndefined(
             f"needs eps = +1 and eps'' = +1, got {signs}"
         )
     assert t.chirality is not None  # eps_dprime != None implies a chirality
-    full = real_fixed_dim(t.real_structure)
-    chiral = real_fixed_dim_constrained(t.real_structure, (t.chirality,))
-    return full, chiral
+    twice = t.dim + t.chirality.trace()
+    # Omega's eigenvalues are +-1, so its trace is an integer of n's parity.
+    assert twice.im == 0 and isinstance(twice.re, int) and twice.re % 2 == 0, twice
+    return t.dim, twice.re // 2

@@ -3,11 +3,12 @@
 These deliberately re-derive results through a different formulation
 (sympy rational matrices and nullspaces, dense triple loops over the
 ``entries`` view instead of the package's sparse rows, a scalar whose
-parts are always ``Fraction`` instead of ``int`` when integral, or a scan
+parts are always ``Fraction`` instead of ``int`` when integral, a scan
 of all 2^n generator subset products instead of the sign calculus that
-picks the real structure's subset) so that agreement between the two
-routes is meaningful.  Nothing in the package
-imports this module.
+picks the real structure's subset, or the rank of a realified linear
+system instead of the real-form theorem that gives the Majorana-Weyl
+dimensions) so that agreement between the two routes is meaningful.
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Iterator, Sequence, Union
 import sympy
 
 from kocalc.clifford import CliffordRep
-from kocalc.errors import RealStructureNotFound
-from kocalc.linalg import Antiunitary, ExactMatrix, GaussianRational
+from kocalc.errors import DimensionMismatch, NotInvolutive, RealStructureNotFound
+from kocalc.linalg import Antiunitary, ExactMatrix, GaussianRational, SparseRow, rank
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -157,6 +158,74 @@ def dense_rank(m: ExactMatrix) -> int:
         if r == m.rows:
             break
     return r
+
+
+def kernel_dim(m: ExactMatrix) -> int:
+    return m.cols - rank(m)
+
+
+def _parts(row: SparseRow, i: int, shift: int) -> tuple[dict, dict]:
+    """Real and imaginary parts of row i of a square matrix, plus shift at (i, i)."""
+    re = {t: v.re for t, v in row}
+    re[i] = re.get(i, 0) + shift
+    return re, {t: v.im for t, v in row}
+
+
+def _fixed_point_system(j: Antiunitary, fixed_ops: Sequence[ExactMatrix]) -> ExactMatrix:
+    """Real-linear system whose kernel is {v : j(v) = v and M v = v for each M}.
+
+    Writing v = x + i y and k = A + i B, the fixed-point equation
+    k @ conj(v) = v splits into (A - I) x + B y = 0 and B x - (A + I) y = 0.
+    Each additional linear constraint M = P + i Q contributes
+    (P - I) x - Q y = 0 and Q x + (P - I) y = 0.  All blocks are real, so
+    the kernel dimension over the rationals is the real dimension sought.
+    Rows come block by block in that order: n rows for each equation.
+    """
+    n = j.dim
+
+    def joined(left: dict, right: dict, negate_right: bool) -> SparseRow:
+        """The row [left | right] (or [left | -right]) of the real system."""
+        row = [(t, GaussianRational(x)) for t, x in sorted(left.items()) if x]
+        row += [(n + t, GaussianRational(-x if negate_right else x))
+                for t, x in sorted(right.items()) if x]
+        return tuple(row)
+
+    blocks: list[list[SparseRow]] = [[], []]
+    for i, krow in enumerate(j.k.sparse_rows):
+        a_minus, b = _parts(krow, i, -1)
+        a_plus, _ = _parts(krow, i, 1)
+        blocks[0].append(joined(a_minus, b, False))
+        blocks[1].append(joined(b, a_plus, True))
+    for m_op in fixed_ops:
+        if m_op.rows != n or m_op.cols != n:
+            raise DimensionMismatch("constraint operator shape does not match the antiunitary")
+        first: list[SparseRow] = []
+        second: list[SparseRow] = []
+        for i, mrow in enumerate(m_op.sparse_rows):
+            p_minus, q = _parts(mrow, i, -1)
+            first.append(joined(p_minus, q, True))
+            second.append(joined(q, p_minus, False))
+        blocks += [first, second]
+    rows = tuple(row for block in blocks for row in block)
+    return ExactMatrix._of(len(rows), 2 * n, rows)
+
+
+def real_fixed_dim(j: Antiunitary) -> int:
+    """Real dimension of the fixed subspace {v : j(v) = v}, by elimination.
+
+    This was the package's route to the Majorana-Weyl dimensions before it
+    read them off the real-form theorem.  Requires j o j = +identity; a j
+    with j o j = -identity has no fixed vectors besides 0 and is rejected
+    as NotInvolutive.
+    """
+    return real_fixed_dim_constrained(j, ())
+
+
+def real_fixed_dim_constrained(j: Antiunitary, fixed_ops: Sequence[ExactMatrix]) -> int:
+    """Real dimension of {v : j(v) = v and M v = v for every M in fixed_ops}."""
+    if not j.squared().is_identity():
+        raise NotInvolutive("antiunitary does not square to +identity")
+    return kernel_dim(_fixed_point_system(j, tuple(fixed_ops)))
 
 
 def _lex_subset_products(rep: CliffordRep) -> Iterator[tuple[tuple[int, ...], ExactMatrix]]:

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import kocalc
 import kocalc.cli as cli_module
 import kocalc.products as products_module
 import kocalc.signcalc as signcalc_module
+import kocalc.triples as triples_module
 from kocalc.cli import run_cli
 from kocalc.signcalc import ScenarioCase
 
@@ -180,6 +182,21 @@ def test_validate_json_mode(tmp_path, capsys):
     assert doc["passed"] is True
     assert doc["ko_dimension"] == 0
     assert {"name": "dirac_hermitian", "passed": True, "witness": None} in doc["checks"]
+
+
+def test_validate_measures_the_signs_once(triple_files, capsys, monkeypatch):
+    path = triple_files(4, 4, "gamma1")
+    measured = []
+    original = triples_module._measure_signs
+
+    def counting(t, *args, **kwargs):
+        measured.append(t)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(triples_module, "_measure_signs", counting)
+    code, doc, _ = run_json(capsys, "validate", path)
+    assert code == 0 and doc["signs"] == {"eps": 1, "eps_prime": 1, "eps_dprime": 1}
+    assert len(measured) == 1
 
 
 # --- product ------------------------------------------------------------------------
@@ -442,3 +459,36 @@ def test_commands_call_the_library_through_module_names(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "enumerate_compatible", counting)
     assert run(capsys, "enumerate", "--sigma1", "4", "--mode", "natural")[0] == 0
     assert len(calls) == 1
+
+
+def test_cli_catches_named_errors_only():
+    # a bare ValueError or other built-in from the library is a bug, not a
+    # usage error; only file-access errors come from outside the package
+    from kocalc.errors import KocalcError
+
+    caught = cli_module._USAGE_ERRORS + cli_module._MATH_ERRORS
+    outside = {c for c in caught if not issubclass(c, KocalcError)}
+    assert outside == {FileNotFoundError, IsADirectoryError, PermissionError}
+    assert ValueError not in caught
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kocalc.build_gammas(-1, 3), "p and q must be nonnegative"),
+    (lambda: kocalc.classify_algebra(0, -2), "p and q must be nonnegative"),
+    (lambda: kocalc.canonical_triple(1, 1, "one"), "unknown dirac_mode 'one'"),
+    (lambda: kocalc.ko_from_signs(kocalc.SignTriple(1, 1, 1), "both"),
+     "parity must be 'even' or 'odd', got 'both'"),
+    (lambda: kocalc.predicted_signs(kocalc.SignTriple(1, 1, 1), kocalc.SignTriple(1, 1, 1),
+                                    "natural"), "unknown mode 'natural'"),
+    (lambda: kocalc.product_triple(kocalc.canonical_triple(1, 1), kocalc.canonical_triple(1, 1),
+                                   "natural"), "unknown mode 'natural'"),
+    (lambda: kocalc.CompatibilityEntry(0, 0, kocalc.ProductMode.NATURAL, compatible=True),
+     "compatible entries carry a product class and no violation"),
+    (lambda: kocalc.CompatibilityEntry(0, 0, kocalc.ProductMode.NATURAL, compatible=False),
+     "incompatible entries must name the violated relation"),
+])
+def test_bad_arguments_raise_a_named_error_with_the_old_text(call, message):
+    with pytest.raises(kocalc.InvalidArgument) as info:
+        call()
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError)  # callers that catch ValueError keep working

@@ -74,8 +74,11 @@ CASES = (
     ("scenario-connes", ("scenario", "--name", "connes")),
     ("scenario-barrett", ("scenario", "--name", "barrett")),
     ("twist-2-0", ("twist", "{tmp}/c20.json", "--out", "{tmp}/out/twisted.json")),
+    ("twist-doubled-chirality", ("twist", "{tmp}/doubled_omega.json",
+                                 "--out", "{tmp}/out/twisted.json")),
     ("restrict-1-1", ("restrict", "{tmp}/c11.json")),
     ("restrict-sigma4", ("restrict", "{tmp}/c40.json")),
+    ("restrict-doubled-chirality", ("restrict", "{tmp}/doubled_omega.json")),
     ("scan", ("scan",)),
     ("unknown-subcommand", ("nonsense",)),
     ("no-subcommand", ()),
@@ -120,6 +123,12 @@ def write_inputs(tmp: Path) -> None:
     doc = json.loads((tmp / "c20.json").read_text())
     doc["dirac"]["entries"][1]["re"] = "5"
     (tmp / "not_hermitian.json").write_text(json.dumps(doc))
+    # Cl(1,1) with Omega replaced by 2 Omega: J keeps its signs, but Omega
+    # is no involution and J o Omega is not antiunitary
+    doc = json.loads((tmp / "c11.json").read_text())
+    for cell in doc["chirality"]["entries"]:
+        cell["im"] = str(2 * int(cell["im"]))
+    (tmp / "doubled_omega.json").write_text(json.dumps(doc))
     text = (tmp / "c20.json").read_bytes()
     (tmp / "malformed.json").write_bytes(text.replace(b'"re": "0",', b'"re": "0.5",', 1))
     (tmp / "unparseable.json").write_text("{")

@@ -16,7 +16,12 @@ from kocalc.clifford import (
     theta_square_sign,
     volume_element,
 )
-from kocalc.errors import OddDimensionUnsupported, RealStructureNotFound, TooManyGenerators
+from kocalc.errors import (
+    InvalidArgument,
+    OddDimensionUnsupported,
+    RealStructureNotFound,
+    TooManyGenerators,
+)
 from kocalc.linalg import ExactMatrix, GaussianRational
 
 from oracles import lex_subset_real_structure, sympy_is_unitary
@@ -80,7 +85,7 @@ def test_base_case_matrices():
 def test_odd_dimension_rejected():
     with pytest.raises(OddDimensionUnsupported):
         build_gammas(2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument, match="^need at least two generators$"):
         build_gammas(0, 0)
 
 

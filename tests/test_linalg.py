@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kocalc.errors import DimensionMismatch, NotInvolutive
+from kocalc.errors import DimensionMismatch, NotInvolutive, NotUnitary
 from kocalc.linalg import (
     GR_I,
     GR_ONE,
@@ -17,16 +17,16 @@ from kocalc.linalg import (
     Antiunitary,
     ExactMatrix,
     GaussianRational,
-    kernel_dim,
     rank,
-    real_fixed_dim,
-    real_fixed_dim_constrained,
 )
 
 from oracles import (
     FractionGaussianRational,
     dense_matmul,
     dense_rank,
+    kernel_dim,
+    real_fixed_dim,
+    real_fixed_dim_constrained,
     sympy_rank,
     sympy_real_fixed_dim,
     to_sympy,
@@ -428,7 +428,7 @@ def test_rank_matches_sympy(m):
 
 
 def test_antiunitary_requires_unitary_linear_part():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotUnitary, match="^antiunitary linear part must be unitary$"):
         Antiunitary(mat([[1, 1], [0, 1]]))
     with pytest.raises(DimensionMismatch):
         Antiunitary(mat([[1, 0, 0], [0, 1, 0]]))
@@ -495,3 +495,12 @@ def test_compose_and_precompose():
     # composition of two antiunitaries is linear: K1 conj(K2)
     lin = j.compose(Antiunitary(u))
     assert lin == SIGMA_X @ SIGMA_Z.conj()
+
+
+def test_trace_sums_the_diagonal():
+    assert ExactMatrix.identity(3).trace() == 3
+    assert SIGMA_Z.trace() == 0 and SIGMA_X.trace() == 0
+    m = mat([[Fraction(1, 2), 5], [GR_I, GaussianRational(-2, 3)]])
+    assert m.trace() == GaussianRational(Fraction(-3, 2), 3)
+    with pytest.raises(DimensionMismatch):
+        mat([[1, 2]]).trace()

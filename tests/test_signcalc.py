@@ -6,7 +6,8 @@ from unittest import mock
 import pytest
 
 import kocalc.signcalc as signcalc_module
-from kocalc.products import ProductMode
+from kocalc.errors import InvalidArgument
+from kocalc.products import ProductMode, verify_product
 from kocalc.signcalc import (
     MATRIX_REPRESENTATIVES,
     SCENARIOS,
@@ -18,7 +19,7 @@ from kocalc.signcalc import (
     matrix_calculus_agreement,
     scenario_check,
 )
-from kocalc.triples import EPSILON_TABLE, SignTriple
+from kocalc.triples import EPSILON_TABLE, SignTriple, canonical_triple
 
 EVEN = (0, 2, 4, 6)
 ODD = (1, 3, 5, 7)
@@ -101,9 +102,9 @@ def test_enumerate_is_deterministic():
 
 
 def test_enumerate_rejects_out_of_range_sigma():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         enumerate_compatible(8, ProductMode.NATURAL)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         enumerate_compatible(-1, ProductMode.NATURAL)
 
 
@@ -154,7 +155,7 @@ def test_barrett_scenario():
 
 
 def test_unknown_scenario_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         scenario_check("nonesuch")
 
 
@@ -242,6 +243,25 @@ def test_matrix_calculus_agreement_rows():
     # sigma2 = 6 representative has D = 0, so refutation cannot be concrete
     assert statuses[(ProductMode.NATURAL, 2, 6)] == "not-falsifiable"
     assert statuses[(ProductMode.MODIFIED, 2, 6)] == "confirmed-compatible"
+
+
+def test_matrix_calculus_agreement_measures_each_representative_once(monkeypatch):
+    calls = []
+    original = signcalc_module.validate_and_extract
+
+    def counting(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(signcalc_module, "validate_and_extract", counting)
+    rows = matrix_calculus_agreement()
+    assert len(calls) == 4
+    # the unmeasured route: verify_product measures both factors per cell
+    reps = {sigma: canonical_triple(p, q, "gamma1" if p >= 1 else "zero")
+            for sigma, (p, q) in MATRIX_REPRESENTATIVES.items()}
+    for r in rows:
+        v = verify_product(reps[r.sigma1], reps[r.sigma2], r.mode)
+        assert (r.verification_status, r.matrix_ko) == (v.status, v.matrix_ko)
 
 
 def test_representatives_have_small_dimension():

@@ -9,10 +9,13 @@ from kocalc.clifford import signature
 from kocalc.errors import (
     IncompleteSigns,
     IndefiniteSign,
+    InvalidArgument,
+    InvalidTriple,
     NoChirality,
     NoHermitianGenerator,
     NoTableMatch,
     NotSignInvolutive,
+    NotUnitary,
     RestrictionUndefined,
 )
 from kocalc.linalg import Antiunitary, ExactMatrix, GaussianRational
@@ -31,7 +34,7 @@ from kocalc.triples import (
 from kocalc.products import ProductMode, product_triple, verify_product
 from kocalc.triple_io import parse_triple, serialize_triple
 
-from oracles import sympy_real_fixed_dim
+from oracles import real_fixed_dim, real_fixed_dim_constrained, sympy_real_fixed_dim
 
 EVEN_PQ = [(p, n - p) for n in (2, 4, 6) for p in range(n + 1)]
 
@@ -59,16 +62,16 @@ def test_stored_table_values():
 
 
 def test_sign_triple_validation_and_rendering():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         SignTriple(2, 1, 1)
     assert str(SignTriple(1, None, -1)) == "(+1, ., -1)"
 
 
 def test_sign_triple_rejects_booleans():
     # bool is a subclass of int and True == 1, so it needs its own check
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         SignTriple(True)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         SignTriple(1, True, None)
 
 
@@ -322,9 +325,9 @@ def test_unitarity_entry_equals_a_fresh_unitarity_check(t):
 
 
 def test_non_unitary_real_structure_is_rejected_on_construction():
-    with pytest.raises(ValueError, match="unitary"):
+    with pytest.raises(NotUnitary, match="unitary"):
         Antiunitary(mat([[1, 1], [0, 1]]))
-    with pytest.raises(ValueError, match="unitary"):
+    with pytest.raises(NotUnitary, match="unitary"):
         Antiunitary(ExactMatrix.identity(2).scaled(2))
 
 
@@ -437,3 +440,40 @@ def test_restriction_undefined_off_sigma_zero(p, q):
     t = canonical_triple(p, q)
     with pytest.raises(RestrictionUndefined):
         restrict_majorana_weyl(t)
+
+
+def _restriction_candidates():
+    """Canonical triples with p + q <= 10 in both Dirac modes, their twists,
+    and the products of dim <= 16 of the dim <= 4 canonical triples, in
+    both modes."""
+    canon = [canonical_triple(p, n - p, mode) for n in (2, 4, 6, 8, 10)
+             for p in range(n + 1) for mode in dirac_modes(p)]
+    small = [t for t in canon if t.dim <= 4]
+    products = [product_triple(a, b, mode) for a in small for b in small
+                for mode in ProductMode]
+    return canon + [twist_real_structure(t) for t in canon] + products
+
+
+def test_restriction_theorem_matches_elimination_on_every_eligible_triple():
+    eligible = 0
+    for t in _restriction_candidates():
+        signs = extract_signs(t) if validate_triple(t).passed else None
+        if signs is None or signs.eps != 1 or signs.eps_dprime != 1:
+            continue
+        eligible += 1
+        assert restrict_majorana_weyl(t) == (
+            real_fixed_dim(t.real_structure),
+            real_fixed_dim_constrained(t.real_structure, (t.chirality,)),
+        )
+    assert eligible == 123  # of 522 candidates
+
+
+def test_restriction_validates_first():
+    # 2 Omega still has a uniform sign against J, but is no involution: the
+    # trace formula would give (2, 1) and elimination (2, 0)
+    t = canonical_triple(1, 1, "gamma1")
+    doubled = FiniteSpectralTriple(t.dim, (), t.dirac, t.chirality.scaled(2), t.real_structure)
+    assert validate_and_extract(doubled)[1] == SignTriple(1, 1, 1)
+    with pytest.raises(InvalidTriple,
+                       match="^triple fails validation: chirality_involution$"):
+        restrict_majorana_weyl(doubled)
