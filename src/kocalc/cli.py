@@ -219,7 +219,7 @@ def _cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
     mode = ProductMode(args.mode)
     t1, _m1 = _load_triple(args.first)
     t2, _m2 = _load_triple(args.second)
-    v = verify_product(t1, t2, mode)
+    v = verify_product(t1, t2, mode, keep_product=bool(args.out))
 
     wrote = None
     if v.matrix_signs is not None and args.out:

@@ -134,10 +134,10 @@ def chirality(rep: CliffordRep) -> ExactMatrix:
 def _reality(g: ExactMatrix) -> int | None:
     """r with conj(G) = r G: +1 for a real matrix, -1 for an imaginary one,
     None for a matrix that is neither."""
-    values = [v for row in g.sparse_rows for _j, v in row]
-    if not any(v.im for v in values):
+    values = [v for row in g.sparse_rows for v in row]
+    if not any(im for _j, _re, im in values):
         return 1
-    if not any(v.re for v in values):
+    if not any(re for _j, re, _im in values):
         return -1
     return None
 

@@ -173,7 +173,7 @@ def _indefinite_witness(sides: tuple[ExactMatrix, ExactMatrix]) -> str:
     jd, dj = sides
 
     def nonzero_columns(m: ExactMatrix) -> set[int]:
-        return {j for row in m.sparse_rows for j, _v in row}
+        return {j for row in m.sparse_rows for j, _re, _im in row}
 
     j = min(nonzero_columns(jd - dj) & nonzero_columns(jd + dj))
     return f"basis vector e{j}: (JD - DJ)e{j} != 0 and (JD + DJ)e{j} != 0"
@@ -196,9 +196,10 @@ class ProductVerification:
     status: str  # confirmed-compatible | confirmed-incompatible | not-falsifiable | disagreement
     agreement: bool
     product_dim: int
-    #: the product triple that was measured, kept so a caller can write it
-    product: FiniteSpectralTriple = field(repr=False, compare=False)
     notes: tuple[str, ...] = field(default=())
+    #: the measured product triple, kept only for ``verify_product(...,
+    #: keep_product=True)``; otherwise it is freed before verify_product returns
+    product: FiniteSpectralTriple | None = field(default=None, repr=False, compare=False)
 
 
 #: A factor's ``validate_and_extract`` result: its report and its signs.
@@ -210,6 +211,8 @@ def verify_product(
     t2: FiniteSpectralTriple,
     mode: ProductMode,
     measured: tuple[Measured, Measured] | None = None,
+    *,
+    keep_product: bool = False,
 ) -> ProductVerification:
     """Predict the product signs from the components, then measure them.
 
@@ -222,6 +225,9 @@ def verify_product(
 
     ``measured`` are the factors' ``validate_and_extract`` results, for a
     caller that has them already; without them each factor is measured here.
+    With ``keep_product`` the record holds the product triple, for a caller
+    that writes it; without it the product is freed here, so a caller that
+    keeps records does not keep products.
     """
     if measured is None:
         measured = (validate_and_extract(t1), validate_and_extract(t2))
@@ -310,6 +316,6 @@ def verify_product(
         status=status,
         agreement=agreement,
         product_dim=product.dim,
-        product=product,
         notes=tuple(notes),
+        product=product if keep_product else None,
     )

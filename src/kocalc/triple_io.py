@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import InvalidTriple, NotUnitary, ParseError, UnsupportedVersion
-from .linalg import Antiunitary, ExactMatrix, GaussianRational
+from .linalg import Antiunitary, ExactMatrix
 from .triples import FiniteSpectralTriple, validate_triple
 
 SCHEMA_VERSION = 1
@@ -58,9 +58,10 @@ _ZERO_CELL = {"re": "0", "im": "0"}
 
 def _matrix_to_block(m: ExactMatrix) -> dict:
     cells = [dict(_ZERO_CELL) for _ in range(m.rows * m.cols)]
+    d = m.den
     for i, row in enumerate(m.sparse_rows):
-        for j, e in row:
-            cells[i * m.cols + j] = {"re": str(e.re), "im": str(e.im)}
+        for j, re, im in row:
+            cells[i * m.cols + j] = {"re": str(Fraction(re, d)), "im": str(Fraction(im, d))}
     return {"rows": m.rows, "cols": m.cols, "entries": cells}
 
 
@@ -76,12 +77,14 @@ def _block_text(m: ExactMatrix, depth: int) -> str:
         return f'{{{part_pad}"re": "{re}",{part_pad}"im": "{im}"{cell_pad}}}'
 
     zero = cell(0, 0)
+    d = m.den
     cells: list[str] = []
     for row in m.sparse_rows:
         col = 0
-        for j, v in row:
+        for j, re, im in row:
             cells += [zero] * (j - col)
-            cells.append(cell(v.re, v.im))
+            # str of an int, or of a lowest-terms Fraction: canonical either way
+            cells.append(cell(re, im) if d == 1 else cell(Fraction(re, d), Fraction(im, d)))
             col = j + 1
         cells += [zero] * (m.cols - col)
     entries = f",{cell_pad}".join(cells)
@@ -116,7 +119,7 @@ def _block_to_matrix(obj: Any, location: str) -> ExactMatrix:
         raise ParseError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix", location
         )
-    sparse_rows = []
+    data = []
     for i in range(rows):
         start = i * cols
         row = []
@@ -127,12 +130,10 @@ def _block_to_matrix(obj: Any, location: str) -> ExactMatrix:
             if not isinstance(ent, dict) or set(ent) != {"re", "im"}:
                 raise ParseError("entry must be an object with exactly the keys 're' and 'im'", here)
             # "0" is the only canonical zero string, so this value is nonzero.
-            row.append((j, GaussianRational(
-                str_to_rational(ent["re"], f"{here}.re"),
-                str_to_rational(ent["im"], f"{here}.im"),
-            )))
-        sparse_rows.append(tuple(row))
-    return ExactMatrix._of(rows, cols, tuple(sparse_rows))
+            row.append((j, str_to_rational(ent["re"], f"{here}.re"),
+                        str_to_rational(ent["im"], f"{here}.im")))
+        data.append(row)
+    return ExactMatrix._of_rationals(rows, cols, data)
 
 
 @dataclass(frozen=True)

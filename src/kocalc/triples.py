@@ -216,9 +216,14 @@ def _sign_triple(measured: _Measured) -> SignTriple:
 def _mismatch(a: ExactMatrix, b: ExactMatrix) -> str | None:
     """The first entry, in row-major order, where two same-shape matrices
     differ, or None when they are equal."""
+    # Entries compare as numerators over the common denominator a.den * b.den.
+    fa, fb = b.den, a.den
     for i, (ra, rb) in enumerate(zip(a.sparse_rows, b.sparse_rows)):
-        if ra != rb:
-            da, db = dict(ra), dict(rb)
+        if ra == rb and fa == fb:
+            continue
+        da = {j: (fa * re, fa * im) for j, re, im in ra}
+        db = {j: (fb * re, fb * im) for j, re, im in rb}
+        if da != db:
             j = min(c for c in da.keys() | db.keys() if da.get(c) != db.get(c))
             return f"entry ({i},{j}): {a.entry(i, j)} != {b.entry(i, j)}"
     return None

@@ -2,8 +2,10 @@
 
 These deliberately re-derive results through a different formulation
 (sympy rational matrices and nullspaces, dense triple loops over the
-``entries`` view instead of the package's sparse rows, a scalar whose
-parts are always ``Fraction`` instead of ``int`` when integral, a scan
+``entries`` view instead of the package's sparse rows, sparse rows of
+``GaussianRational`` values instead of Gaussian-integer numerators over
+one common denominator, a scalar whose parts are always ``Fraction``
+instead of ``int`` when integral, a scan
 of all 2^n generator subset products instead of the sign calculus that
 picks the real structure's subset, or the rank of a realified linear
 system instead of the real-form theorem that gives the Majorana-Weyl
@@ -21,7 +23,7 @@ import sympy
 
 from kocalc.clifford import CliffordRep
 from kocalc.errors import DimensionMismatch, NotInvolutive, RealStructureNotFound
-from kocalc.linalg import Antiunitary, ExactMatrix, GaussianRational, SparseRow, rank
+from kocalc.linalg import GR_ONE, GR_ZERO, Antiunitary, ExactMatrix, GaussianRational, rank
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -118,6 +120,133 @@ class FractionGaussianRational:
         return f"{self.re}{joiner}{unit}"
 
 
+#: One oracle row: (column, nonzero value) pairs in increasing column order.
+ScalarRow = tuple[tuple[int, GaussianRational], ...]
+
+
+def _scalar_canonical(acc: dict[int, GaussianRational]) -> ScalarRow:
+    return tuple(sorted((j, v) for j, v in acc.items() if v))
+
+
+def _scalar_row_sum(a: ScalarRow, b: ScalarRow, subtract: bool) -> ScalarRow:
+    acc = dict(a)
+    for j, y in b:
+        x = acc.get(j)
+        if x is None:
+            acc[j] = -y if subtract else y
+        else:
+            acc[j] = x - y if subtract else x + y
+    return _scalar_canonical(acc)
+
+
+@dataclass(frozen=True)
+class ScalarRowMatrix:
+    """The package's previous matrix kernels: sparse rows of
+    (column, ``GaussianRational``) pairs, one scalar object per nonzero.
+
+    ``ExactMatrix`` now runs the same kernels on Gaussian-integer
+    numerators over one common denominator; this is the reference they are
+    compared against.  ``of`` and ``to_exact`` cross over through the
+    public dense views, and equality and hashing are structural.
+    """
+
+    rows: int
+    cols: int
+    sparse_rows: tuple[ScalarRow, ...]
+
+    @classmethod
+    def of(cls, m: ExactMatrix) -> "ScalarRowMatrix":
+        return cls(m.rows, m.cols, tuple(
+            tuple((j, v) for j, v in enumerate(m.row(i)) if v) for i in range(m.rows)))
+
+    def to_exact(self) -> ExactMatrix:
+        cells = [GR_ZERO] * (self.rows * self.cols)
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row:
+                cells[i * self.cols + j] = v
+        return ExactMatrix(self.rows, self.cols, cells)
+
+    def __add__(self, other: "ScalarRowMatrix") -> "ScalarRowMatrix":
+        assert (self.rows, self.cols) == (other.rows, other.cols)
+        return ScalarRowMatrix(self.rows, self.cols, tuple(
+            _scalar_row_sum(a, b, False) for a, b in zip(self.sparse_rows, other.sparse_rows)))
+
+    def __sub__(self, other: "ScalarRowMatrix") -> "ScalarRowMatrix":
+        assert (self.rows, self.cols) == (other.rows, other.cols)
+        return ScalarRowMatrix(self.rows, self.cols, tuple(
+            _scalar_row_sum(a, b, True) for a, b in zip(self.sparse_rows, other.sparse_rows)))
+
+    def __neg__(self) -> "ScalarRowMatrix":
+        return ScalarRowMatrix(self.rows, self.cols, tuple(
+            tuple((j, -v) for j, v in row) for row in self.sparse_rows))
+
+    def scaled(self, s) -> "ScalarRowMatrix":
+        c = GaussianRational.coerce(s)
+        if not c:
+            return ScalarRowMatrix(self.rows, self.cols, ((),) * self.rows)
+        return ScalarRowMatrix(self.rows, self.cols, tuple(
+            tuple((j, c * v) for j, v in row) for row in self.sparse_rows))
+
+    def __matmul__(self, other: "ScalarRowMatrix") -> "ScalarRowMatrix":
+        """Gustavson's product on scalar objects."""
+        assert self.cols == other.rows
+        b = other.sparse_rows
+        out = []
+        for arow in self.sparse_rows:
+            acc: dict[int, GaussianRational] = {}
+            for t, x in arow:
+                for j, y in b[t]:
+                    p = x * y
+                    q = acc.get(j)
+                    acc[j] = p if q is None else q + p
+            out.append(_scalar_canonical(acc))
+        return ScalarRowMatrix(self.rows, other.cols, tuple(out))
+
+    def kron(self, other: "ScalarRowMatrix") -> "ScalarRowMatrix":
+        cc = other.cols
+        return ScalarRowMatrix(self.rows * other.rows, self.cols * cc, tuple(
+            tuple((j * cc + t, x * y) for j, x in arow for t, y in brow)
+            for arow in self.sparse_rows for brow in other.sparse_rows))
+
+    def transpose(self) -> "ScalarRowMatrix":
+        cols: list[list[tuple[int, GaussianRational]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row:
+                cols[j].append((i, v))
+        return ScalarRowMatrix(self.cols, self.rows, tuple(map(tuple, cols)))
+
+    def conj(self) -> "ScalarRowMatrix":
+        return ScalarRowMatrix(self.rows, self.cols, tuple(
+            tuple((j, v.conjugate()) for j, v in row) for row in self.sparse_rows))
+
+    def dagger(self) -> "ScalarRowMatrix":
+        return self.transpose().conj()
+
+    def trace(self) -> GaussianRational:
+        assert self.rows == self.cols
+        return sum((v for i, row in enumerate(self.sparse_rows) for j, v in row if j == i),
+                   GR_ZERO)
+
+    def is_zero(self) -> bool:
+        return not any(self.sparse_rows)
+
+    def scalar_multiple(self) -> GaussianRational | None:
+        """c when this matrix is c times the identity, else None."""
+        if self.rows != self.cols:
+            return None
+        if self.is_zero():
+            return GR_ZERO
+        c = self.sparse_rows[0][0][1] if self.sparse_rows[0] else None
+        for i, row in enumerate(self.sparse_rows):
+            if len(row) != 1 or row[0] != (i, c):
+                return None
+        return c
+
+    def is_unitary(self) -> bool:
+        return self.rows == self.cols and self.dagger() @ self == ScalarRowMatrix(
+            self.rows, self.cols, tuple(((i, GR_ONE),) for i in range(self.rows)))
+
+
 def dense_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """The matrix product as a plain triple loop over the dense entries."""
     assert a.cols == b.rows
@@ -164,7 +293,7 @@ def kernel_dim(m: ExactMatrix) -> int:
     return m.cols - rank(m)
 
 
-def _parts(row: SparseRow, i: int, shift: int) -> tuple[dict, dict]:
+def _parts(row: ScalarRow, i: int, shift: int) -> tuple[dict, dict]:
     """Real and imaginary parts of row i of a square matrix, plus shift at (i, i)."""
     re = {t: v.re for t, v in row}
     re[i] = re.get(i, 0) + shift
@@ -183,15 +312,15 @@ def _fixed_point_system(j: Antiunitary, fixed_ops: Sequence[ExactMatrix]) -> Exa
     """
     n = j.dim
 
-    def joined(left: dict, right: dict, negate_right: bool) -> SparseRow:
+    def joined(left: dict, right: dict, negate_right: bool) -> ScalarRow:
         """The row [left | right] (or [left | -right]) of the real system."""
         row = [(t, GaussianRational(x)) for t, x in sorted(left.items()) if x]
         row += [(n + t, GaussianRational(-x if negate_right else x))
                 for t, x in sorted(right.items()) if x]
         return tuple(row)
 
-    blocks: list[list[SparseRow]] = [[], []]
-    for i, krow in enumerate(j.k.sparse_rows):
+    blocks: list[list[ScalarRow]] = [[], []]
+    for i, krow in enumerate(ScalarRowMatrix.of(j.k).sparse_rows):
         a_minus, b = _parts(krow, i, -1)
         a_plus, _ = _parts(krow, i, 1)
         blocks[0].append(joined(a_minus, b, False))
@@ -199,15 +328,15 @@ def _fixed_point_system(j: Antiunitary, fixed_ops: Sequence[ExactMatrix]) -> Exa
     for m_op in fixed_ops:
         if m_op.rows != n or m_op.cols != n:
             raise DimensionMismatch("constraint operator shape does not match the antiunitary")
-        first: list[SparseRow] = []
-        second: list[SparseRow] = []
-        for i, mrow in enumerate(m_op.sparse_rows):
+        first: list[ScalarRow] = []
+        second: list[ScalarRow] = []
+        for i, mrow in enumerate(ScalarRowMatrix.of(m_op).sparse_rows):
             p_minus, q = _parts(mrow, i, -1)
             first.append(joined(p_minus, q, True))
             second.append(joined(q, p_minus, False))
         blocks += [first, second]
     rows = tuple(row for block in blocks for row in block)
-    return ExactMatrix._of(len(rows), 2 * n, rows)
+    return ScalarRowMatrix(len(rows), 2 * n, rows).to_exact()
 
 
 def real_fixed_dim(j: Antiunitary) -> int:

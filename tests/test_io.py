@@ -139,10 +139,9 @@ def test_parsed_blocks_store_only_nonzeros():
     doc = _valid_doc()
     doc["dirac"]["entries"][2] = {"re": "0", "im": "1/3"}
     t = parse_triple(json.dumps(doc).encode(), validate=False)
-    assert t.dirac.sparse_rows == (
-        ((1, GaussianRational(1)),),
-        ((0, GaussianRational(0, Fraction(1, 3))),),
-    )
+    # numerators over the common denominator 3
+    assert t.dirac.den == 3
+    assert t.dirac.sparse_rows == (((1, 3, 0),), ((0, 0, 1),))
     assert t.dirac == ExactMatrix(2, 2, t.dirac.entries)
 
 
@@ -164,8 +163,9 @@ def test_non_canonical_rational_rejected_with_location(text, canonical, tmp_path
 
 def test_parser_builds_ints_for_integral_parts():
     t = parse_triple(json.dumps(_valid_doc()).encode())
-    parts = [p for m in (t.dirac, t.chirality, t.real_structure.k)
-             for row in m.sparse_rows for _j, v in row for p in (v.re, v.im)]
+    mats = (t.dirac, t.chirality, t.real_structure.k)
+    assert all(m.den == 1 for m in mats)
+    parts = [p for m in mats for v in m.entries for p in (v.re, v.im)]
     assert parts and all(type(p) is int for p in parts)
     doc = _valid_doc()
     doc["dirac"]["entries"][1] = {"re": "-3/4", "im": "5"}

@@ -1,6 +1,7 @@
 """Exact scalar and matrix arithmetic, rank/kernel, antiunitary fixed spaces."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -190,9 +191,8 @@ def test_matmul_with_one_term_rows_matches_dense(pair):
     got = a @ b
     assert_canonical(got)
     assert got == dense_matmul(a, b)
-    for row in got.sparse_rows:
-        for _j, v in row:
-            assert_canonical_parts(v)
+    for v in got.entries:
+        assert_canonical_parts(v)
 
 
 # --- matrix construction and arithmetic --------------------------------------
@@ -291,13 +291,18 @@ def test_scaled_and_rmul():
 
 
 def assert_canonical(m):
-    """Rows hold nonzero values at strictly increasing in-range columns."""
+    """Rows hold nonzero int numerators at strictly increasing in-range
+    columns, over a positive denominator that shares no factor with all of
+    them (so the zero matrix has denominator 1)."""
     assert len(m.sparse_rows) == m.rows
+    assert type(m.den) is int and m.den >= 1
     for row in m.sparse_rows:
-        cols = [j for j, _v in row]
+        cols = [j for j, _re, _im in row]
         assert cols == sorted(set(cols))
         assert all(0 <= j < m.cols for j in cols)
-        assert all(isinstance(v, GaussianRational) and v for _j, v in row)
+        assert all(type(re) is int and type(im) is int and (re or im) for _j, re, im in row)
+    assert math.gcd(m.den, *(p for row in m.sparse_rows for _j, re, im in row
+                             for p in (re, im))) == 1
 
 
 @st.composite
@@ -389,11 +394,9 @@ def test_rank_matches_dense_elimination_and_sympy(m):
 
 def test_dense_input_keeps_only_nonzeros():
     m = ExactMatrix.from_rows([[0, 2, 0], [0, 0, 0], [GR_I, 0, Fraction(-1, 3)]])
-    assert m.sparse_rows == (
-        ((1, GaussianRational(2)),),
-        (),
-        ((0, GR_I), (2, GaussianRational(Fraction(-1, 3)))),
-    )
+    # numerators over the common denominator 3
+    assert m.den == 3
+    assert m.sparse_rows == (((1, 6, 0),), (), ((0, 0, 3), (2, -1, 0)))
     assert m.entry(1, 1) == 0 and m.entry(2, 2) == Fraction(-1, 3)
 
 

@@ -5,6 +5,7 @@ import pytest
 from kocalc.clifford import signature
 import kocalc.products as products_module
 import dataclasses
+import weakref
 
 from kocalc.errors import (
     IncompleteSigns,
@@ -310,9 +311,24 @@ def test_product_lookup_other_errors_propagate(monkeypatch):
 
 def test_verification_keeps_the_measured_product():
     t1, t2 = rep_triple(4, 0), rep_triple(2, 0)
-    v = verify_product(t1, t2, ProductMode.MODIFIED)
+    v = verify_product(t1, t2, ProductMode.MODIFIED, keep_product=True)
     assert v.product == product_triple(t1, t2, ProductMode.MODIFIED)
     assert v.product.dim == v.product_dim
+    assert v == verify_product(t1, t2, ProductMode.MODIFIED)
+
+
+def test_verification_frees_the_product_before_returning(monkeypatch):
+    built = []
+
+    def recording(*args):
+        product = product_triple(*args)
+        built.append(weakref.ref(product))
+        return product
+
+    monkeypatch.setattr(products_module, "product_triple", recording)
+    v = verify_product(rep_triple(4, 0), rep_triple(2, 0), ProductMode.MODIFIED)
+    assert len(built) == 1 and built[0]() is None
+    assert v.product is None and v.product_dim == 8
 
 
 # --- invalid factors ------------------------------------------------------------------

@@ -299,7 +299,7 @@ def test_verify_product_measures_each_triple_once(monkeypatch):
 
     monkeypatch.setattr(triples_module, "_measure_signs", counting)
     t1, t2 = canonical_triple(2, 0, "gamma1"), canonical_triple(1, 1, "gamma1")
-    v = verify_product(t1, t2, ProductMode.NATURAL)
+    v = verify_product(t1, t2, ProductMode.NATURAL, keep_product=True)
     assert measured == [t1, t2, v.product]
 
 
