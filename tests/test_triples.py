@@ -7,9 +7,11 @@ import pytest
 import kocalc.triples as triples_module
 from kocalc.clifford import signature
 from kocalc.errors import (
+    DimensionMismatch,
     IncompleteSigns,
     IndefiniteSign,
     InvalidArgument,
+    InvalidComponent,
     InvalidTriple,
     NoChirality,
     NoHermitianGenerator,
@@ -262,6 +264,76 @@ def test_validate_and_extract_matches_the_two_calls(t):
         assert got == (validate_triple(t), expected)
     else:
         assert got == expected
+
+
+def _misshaped_triples():
+    """A D, an Omega and a generator whose shapes disagree with J's."""
+    t20, t40 = _triple_20(), canonical_triple(4, 0, "gamma1")
+    return [
+        FiniteSpectralTriple(2, (), t40.dirac, t20.chirality, t20.real_structure),
+        FiniteSpectralTriple(2, (), t20.dirac, t40.chirality, t20.real_structure),
+        FiniteSpectralTriple(2, (ExactMatrix.identity(3),), t20.dirac, t20.chirality,
+                             t20.real_structure),
+    ]
+
+
+def _fails(*names):
+    """The InvalidComponent outcomes of a product with this factor first and second."""
+    listed = ", ".join(names)
+    return tuple((InvalidComponent, f"{which} factor fails validation: {listed}")
+                 for which in ("first", "second"))
+
+
+_NOT_INVOLUTIVE = (NotSignInvolutive, "J squared is not +-identity")
+_INDEFINITE_D = (IndefiniteSign, "J has no uniform commutation sign with D")
+_INDEFINITE_OMEGA = (IndefiniteSign, "J has no uniform commutation sign with Omega")
+_MISMATCH = (DimensionMismatch, "cannot multiply 2x2 by 4x4")
+_SHAPES = _fails("operator_shapes")
+
+#: Per triple of _edge_triples() + _misshaped_triples(): the outcomes of
+#: extract_signs, restrict_majorana_weyl, product_triple with the triple as
+#: first and as second factor, and verify_product likewise.  The other
+#: factor is the canonical Cl(1,1) triple, and both modes agree.
+_PINNED_OUTCOMES = [
+    (_NOT_INVOLUTIVE, _NOT_INVOLUTIVE,
+     *_fails("real_structure_sign_involutive", "real_structure_vs_chirality"),
+     _NOT_INVOLUTIVE, _NOT_INVOLUTIVE),
+    (_INDEFINITE_D, _INDEFINITE_D,
+     *_fails("dirac_anticommutes_chirality", "real_structure_vs_dirac"),
+     _INDEFINITE_D, _INDEFINITE_D),
+    (_INDEFINITE_OMEGA, _INDEFINITE_OMEGA,
+     *_fails("chirality_hermitian", "chirality_involution", "real_structure_vs_chirality"),
+     _INDEFINITE_OMEGA, _INDEFINITE_OMEGA),
+    (SignTriple(1, 1, 1), (InvalidTriple, "triple fails validation: dirac_hermitian"),
+     *_fails("dirac_hermitian"), *_fails("dirac_hermitian")),
+    (SignTriple(1, 1, None),
+     (RestrictionUndefined, "needs eps = +1 and eps'' = +1, got (+1, +1, .)"),
+     (NoChirality, "first factor needs a chirality operator"),
+     (NoChirality, "second factor needs a chirality operator"),
+     (IncompleteSigns, "even lookup needs eps''"), (IncompleteSigns, "even lookup needs eps''")),
+    (SignTriple(1, 1, -1), (InvalidTriple, "triple fails validation: operator_shapes"),
+     *_SHAPES, *_SHAPES),
+    (_MISMATCH, _MISMATCH, *_SHAPES, _MISMATCH, _MISMATCH),
+    (_MISMATCH, _MISMATCH, *_SHAPES, _MISMATCH, _MISMATCH),
+    (SignTriple(1, 1, -1), (InvalidTriple, "triple fails validation: operator_shapes"),
+     *_SHAPES, *_SHAPES),
+]
+
+
+@pytest.mark.parametrize("mode", list(ProductMode))
+@pytest.mark.parametrize("t, expected", list(zip(_edge_triples() + _misshaped_triples(),
+                                                 _PINNED_OUTCOMES)))
+def test_every_measuring_caller_keeps_its_outcome(t, expected, mode):
+    good = canonical_triple(1, 1, "gamma1")
+    got = (
+        _outcome(extract_signs, t),
+        _outcome(restrict_majorana_weyl, t),
+        _outcome(lambda t: product_triple(t, good, mode), t),
+        _outcome(lambda t: product_triple(good, t, mode), t),
+        _outcome(lambda t: verify_product(t, good, mode), t),
+        _outcome(lambda t: verify_product(good, t, mode), t),
+    )
+    assert got == expected
 
 
 def test_indefinite_sign_carries_the_sides_of_the_first_failing_relation():
