@@ -46,7 +46,7 @@ print("Gamma^1 Gamma^2 + Gamma^2 Gamma^1 = 0:", (g1 @ g2 + g2 @ g1).is_zero())
 theta = kc.volume_element(rep)
 print("\nTheta^2 sign for (1,3):", kc.theta_square_sign(1, 3))
 omega = kc.chirality(rep)
-print("chirality is hermitian:", omega.is_hermitian())
+print("chirality is hermitian:", omega == omega.dagger())
 print("chirality squares to identity:", (omega @ omega).is_identity())
 print("chirality anticommutes with Gamma^1:",
       (omega @ g1 + g1 @ omega).is_zero())

@@ -33,7 +33,6 @@ from .errors import (
     NoChirality,
     NoHermitianGenerator,
     NoTableMatch,
-    NotInvolutive,
     NotSignInvolutive,
     NotUnitary,
     OddDimensionUnsupported,
@@ -76,7 +75,7 @@ _USAGE_ERRORS = (
 _MATH_ERRORS = (
     InvalidTriple, NoChirality, RestrictionUndefined, InvalidComponent,
     NotSignInvolutive, IndefiniteSign, IncompleteSigns, NoTableMatch,
-    AdditivityViolation, NotInvolutive, RealStructureNotFound, NotUnitary,
+    AdditivityViolation, RealStructureNotFound, NotUnitary,
     InconsistentClassification,
 )
 

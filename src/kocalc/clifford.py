@@ -142,7 +142,6 @@ def _reality(g: ExactMatrix) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
 def find_real_structure(rep: CliffordRep) -> Antiunitary:
     """The monomial antiunitary J: v -> K conj(v) commuting with the real algebra.
 

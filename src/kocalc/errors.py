@@ -26,10 +26,6 @@ class DimensionMismatch(KocalcError):
     """Matrix shapes do not admit the requested operation."""
 
 
-class NotInvolutive(KocalcError):
-    """An antiunitary operator was required to square to +identity."""
-
-
 class NotUnitary(KocalcError, ValueError):
     """An antiunitary operator's linear part is not unitary.  Also a
     ``ValueError``, as ``InvalidArgument`` is."""

@@ -96,19 +96,27 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __add__(self, other: Scalarish) -> "GaussianRational":
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         o = GaussianRational.coerce(other)
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalarish) -> "GaussianRational":
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         o = GaussianRational.coerce(other)
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other: Scalarish) -> "GaussianRational":
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other: Scalarish) -> "GaussianRational":
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         o = GaussianRational.coerce(other)
         a, b, c, d = self.re, self.im, o.re, o.im
         # Matrix entries are mostly real or imaginary units, so skip the
@@ -122,6 +130,8 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalarish) -> "GaussianRational":
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         o = GaussianRational.coerce(other)
         n = Fraction(o.re * o.re + o.im * o.im)  # int / int would be a float
         if not n:
@@ -154,6 +164,11 @@ class GaussianRational:
         joiner = "+" if self.im > 0 else ""
         return f"{self.re}{joiner}{unit}"
 
+
+#: The operand types of the scalar operators; any other operand (a matrix,
+#: say) gets NotImplemented, so Python tries its reflected operator.  A
+#: bool is an int, and GaussianRational rejects it as a part.
+_SCALARS = (GaussianRational, int, Fraction)
 
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(1)
@@ -515,9 +530,6 @@ class ExactMatrix:
     def is_identity(self) -> bool:
         return self.den == 1 and self._scalar_multiple() == (1, 0)
 
-    def is_hermitian(self) -> bool:
-        return self.is_square and self == self.dagger()
-
     def is_unitary(self) -> bool:
         return self.is_square and (self.dagger() @ self).is_identity()
 
@@ -611,14 +623,8 @@ class Antiunitary:
     def dim(self) -> int:
         return self.k.rows
 
-    def apply(self, v: ExactMatrix) -> ExactMatrix:
-        return self.k @ v.conj()
-
     def squared(self) -> ExactMatrix:
         return self.k @ self.k.conj()
-
-    def compose(self, other: "Antiunitary") -> ExactMatrix:
-        return self.k @ other.k.conj()
 
     def precompose_linear(self, u: ExactMatrix) -> "Antiunitary":
         """The antiunitary j o u for a unitary u (apply u first)."""

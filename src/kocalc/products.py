@@ -15,6 +15,10 @@ consistency constraint between the component signs; when it fails there
 is no uniform sign at all, which the matrix level exhibits on a concrete
 vector whenever both component Dirac operators are nonzero.
 
+The factors' signs are read from their validation reports, which
+``product_triple`` and ``verify_product`` take as an optional ``reports``
+pair; without it each factor is validated once.
+
 Composition rules (the middle line is the constraint):
 
     natural             modified
@@ -42,9 +46,9 @@ from .triples import (
     FiniteSpectralTriple,
     SignTriple,
     ValidationReport,
+    _validate,
     extract_signs,
     ko_from_signs,
-    validate_and_extract,
     validate_triple,
 )
 
@@ -202,15 +206,11 @@ class ProductVerification:
     product: FiniteSpectralTriple | None = field(default=None, repr=False, compare=False)
 
 
-#: A factor's ``validate_and_extract`` result: its report and its signs.
-Measured = tuple[ValidationReport, SignTriple]
-
-
 def verify_product(
     t1: FiniteSpectralTriple,
     t2: FiniteSpectralTriple,
     mode: ProductMode,
-    measured: tuple[Measured, Measured] | None = None,
+    reports: tuple[ValidationReport, ValidationReport] | None = None,
     *,
     keep_product: bool = False,
 ) -> ProductVerification:
@@ -223,15 +223,16 @@ def verify_product(
     the incompatibility is not falsifiable at matrix level; the report
     says so and records which component supplied the eps' evidence.
 
-    ``measured`` are the factors' ``validate_and_extract`` results, for a
-    caller that has them already; without them each factor is measured here.
+    ``reports`` are the factors' ``validate_triple`` reports, for a caller
+    that has them already; without them each factor is validated here.  The
+    factors' signs are read from the reports.
     With ``keep_product`` the record holds the product triple, for a caller
     that writes it; without it the product is freed here, so a caller that
     keeps records does not keep products.
     """
-    if measured is None:
-        measured = (validate_and_extract(t1), validate_and_extract(t2))
-    (report1, s1), (report2, s2) = measured
+    if reports is None:
+        reports = (_validate(t1), _validate(t2))
+    s1, s2 = (r.require_signs() for r in reports)
     sigma1 = ko_from_signs(s1, "even")
     sigma2 = ko_from_signs(s2, "even")
 
@@ -255,7 +256,7 @@ def verify_product(
         evidence = "none (both component Dirac operators are 0)"
 
     prediction = predicted_signs(s1f, s2f, mode)
-    product = product_triple(t1, t2, mode, (report1, report2))
+    product = product_triple(t1, t2, mode, reports)
     predicted_sigma = None if isinstance(prediction, Incompatible) else (sigma1 + sigma2) % 8
 
     matrix_signs: SignTriple | None

@@ -22,10 +22,10 @@ from .products import (
 from .triples import (
     EPSILON_TABLE,
     SignTriple,
+    _validate,
     canonical_triple,
     extract_signs,
     ko_from_signs,
-    validate_and_extract,
 )
 
 #: Smallest gamma-representation realizing each even class (all of dim <= 4).
@@ -286,13 +286,13 @@ def matrix_calculus_agreement() -> tuple[AgreementRow, ...]:
         sigma: canonical_triple(p, q, "gamma1" if p >= 1 else "zero")
         for sigma, (p, q) in MATRIX_REPRESENTATIVES.items()
     }
-    measured = {sigma: validate_and_extract(t) for sigma, t in triples.items()}
+    reports = {sigma: _validate(t) for sigma, t in triples.items()}
     for mode in ProductMode:
         for sigma1, t1 in triples.items():
             entries = enumerate_compatible(sigma1, mode)
             for sigma2, t2 in triples.items():
                 entry = entries[sigma2]
-                v = verify_product(t1, t2, mode, (measured[sigma1], measured[sigma2]))
+                v = verify_product(t1, t2, mode, (reports[sigma1], reports[sigma2]))
                 if entry.compatible:
                     consistent = (
                         v.status == "confirmed-compatible"

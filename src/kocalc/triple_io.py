@@ -6,13 +6,15 @@ row-major blocks {"rows": r, "cols": c, "entries": [{"re": "p/q",
 "im": "p/q"}, ...]} with rationals as canonical lowest-terms strings.
 Serialization is byte-deterministic: the same triple and metadata always
 produce identical bytes, and parse(serialize(t)) reproduces t exactly.
+The serializer writes the text straight from the triple, and the parser
+builds the triple and its metadata straight from the JSON object; there
+is no intermediate document type.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -56,18 +58,9 @@ def str_to_rational(s: Any, location: str) -> int | Fraction:
 _ZERO_CELL = {"re": "0", "im": "0"}
 
 
-def _matrix_to_block(m: ExactMatrix) -> dict:
-    cells = [dict(_ZERO_CELL) for _ in range(m.rows * m.cols)]
-    d = m.den
-    for i, row in enumerate(m.sparse_rows):
-        for j, re, im in row:
-            cells[i * m.cols + j] = {"re": str(Fraction(re, d)), "im": str(Fraction(im, d))}
-    return {"rows": m.rows, "cols": m.cols, "entries": cells}
-
-
 def _block_text(m: ExactMatrix, depth: int) -> str:
-    """``_matrix_to_block(m)`` as ``json.dumps(..., indent=2)`` writes it
-    ``depth`` levels deep.  Rational strings need no JSON escaping."""
+    """Matrix block ``m`` as ``json.dumps(..., indent=2)`` writes it ``depth``
+    levels deep.  Rational strings need no JSON escaping."""
     pad = "\n" + "  " * depth
     key_pad = pad + "  "
     cell_pad = key_pad + "  "
@@ -136,52 +129,7 @@ def _block_to_matrix(obj: Any, location: str) -> ExactMatrix:
     return ExactMatrix._of_rationals(rows, cols, data)
 
 
-@dataclass(frozen=True)
-class TripleDocument:
-    """The schema-level view of one serialized triple."""
-
-    schema_version: int
-    dim: int
-    dirac: ExactMatrix
-    chirality: ExactMatrix | None
-    real_structure_k: ExactMatrix
-    algebra_gens: tuple[ExactMatrix, ...]
-    metadata: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def from_triple(
-        cls, t: FiniteSpectralTriple, metadata: Mapping[str, str] | None = None
-    ) -> "TripleDocument":
-        meta = tuple(sorted((metadata or {}).items()))
-        return cls(SCHEMA_VERSION, t.dim, t.dirac, t.chirality,
-                   t.real_structure.k, t.algebra_gens, meta)
-
-    def to_triple(self) -> FiniteSpectralTriple:
-        try:
-            j = Antiunitary(self.real_structure_k)
-        except NotUnitary as exc:
-            raise InvalidTriple(f"real_structure_k: {exc}") from exc
-        return FiniteSpectralTriple(
-            dim=self.dim,
-            algebra_gens=self.algebra_gens,
-            dirac=self.dirac,
-            chirality=self.chirality,
-            real_structure=j,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "dim": self.dim,
-            "dirac": _matrix_to_block(self.dirac),
-            "chirality": None if self.chirality is None else _matrix_to_block(self.chirality),
-            "real_structure_k": _matrix_to_block(self.real_structure_k),
-            "algebra_gens": [_matrix_to_block(a) for a in self.algebra_gens],
-            "metadata": dict(self.metadata),
-        }
-
-
-def _document_from_json(obj: Any) -> TripleDocument:
+def _document_from_json(obj: Any) -> tuple[FiniteSpectralTriple, dict[str, str]]:
     if not isinstance(obj, dict):
         raise ParseError("document root must be an object", "$")
     missing = [k for k in _TOP_KEYS if k not in obj]
@@ -225,29 +173,35 @@ def _document_from_json(obj: Any) -> TripleDocument:
         if g.rows != dim or g.cols != dim:
             raise ParseError(f"algebra_gens[{i}] must be {dim}x{dim}", f"algebra_gens[{i}]")
 
-    return TripleDocument(version, dim, dirac, chirality, k, gens,
-                          tuple(sorted(meta_obj.items())))
+    try:
+        j = Antiunitary(k)
+    except NotUnitary as exc:
+        raise InvalidTriple(f"real_structure_k: {exc}") from exc
+    triple = FiniteSpectralTriple(dim=dim, algebra_gens=gens, dirac=dirac,
+                                  chirality=chirality, real_structure=j)
+    return triple, dict(sorted(meta_obj.items()))
 
 
 def serialize_triple(
     t: FiniteSpectralTriple, metadata: Mapping[str, str] | None = None
 ) -> bytes:
-    """The document's bytes: exactly ``json.dumps(to_json_dict(), indent=2,
-    ensure_ascii=True)`` and a newline, written without the pure-Python
-    encoder that ``indent`` selects except for the small metadata object."""
-    doc = TripleDocument.from_triple(t, metadata)
+    """The document's bytes: exactly what ``json.dumps(..., indent=2,
+    ensure_ascii=True)`` writes for the document object, with metadata
+    keys sorted, and a newline.  Only the small metadata object goes
+    through the pure-Python encoder that ``indent`` selects."""
     gens = "[]"
-    if doc.algebra_gens:
-        gens = "[\n    " + ",\n    ".join(_block_text(g, 2) for g in doc.algebra_gens) + "\n  ]"
-    chirality = "null" if doc.chirality is None else _block_text(doc.chirality, 1)
-    meta = json.dumps(dict(doc.metadata), indent=2, ensure_ascii=True).replace("\n", "\n  ")
+    if t.algebra_gens:
+        gens = "[\n    " + ",\n    ".join(_block_text(g, 2) for g in t.algebra_gens) + "\n  ]"
+    chirality = "null" if t.chirality is None else _block_text(t.chirality, 1)
+    meta = json.dumps(dict(sorted((metadata or {}).items())), indent=2,
+                      ensure_ascii=True).replace("\n", "\n  ")
     text = (
         "{\n"
-        f'  "schema_version": {json.dumps(doc.schema_version)},\n'
-        f'  "dim": {json.dumps(doc.dim)},\n'
-        f'  "dirac": {_block_text(doc.dirac, 1)},\n'
+        f'  "schema_version": {SCHEMA_VERSION},\n'
+        f'  "dim": {json.dumps(t.dim)},\n'
+        f'  "dirac": {_block_text(t.dirac, 1)},\n'
         f'  "chirality": {chirality},\n'
-        f'  "real_structure_k": {_block_text(doc.real_structure_k, 1)},\n'
+        f'  "real_structure_k": {_block_text(t.real_structure.k, 1)},\n'
         f'  "algebra_gens": {gens},\n'
         f'  "metadata": {meta}\n'
         "}\n"
@@ -266,8 +220,7 @@ def parse_document(data: bytes | str) -> tuple[FiniteSpectralTriple, dict[str, s
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"document is not valid JSON: {exc}") from exc
-    doc = _document_from_json(obj)
-    return doc.to_triple(), dict(doc.metadata)
+    return _document_from_json(obj)
 
 
 def parse_triple(data: bytes | str, validate: bool = True) -> FiniteSpectralTriple:

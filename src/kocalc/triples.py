@@ -11,11 +11,17 @@ signs classify J:
 
 The sign table below maps (eps, eps', eps'') to the mod-8 class sigma;
 even classes are looked up on (eps, eps''), odd classes on (eps, eps').
+
+Two routes measure the signs.  ``extract_signs`` stops at the first sign
+that fails and raises there.  ``validate_triple`` measures all three as
+part of its checks and keeps them in the ``ValidationReport``, whose
+``require_signs`` returns or raises what ``extract_signs`` would; a
+caller that validates reads the signs from the report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, NamedTuple
 
@@ -130,45 +136,8 @@ class AxiomCheck:
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[AxiomCheck, ...]
-    #: J's signs as the validation measured them; None when the operator
-    #: shapes fail, J o J is not +-I, or J has no uniform sign against D
-    #: or Omega
-    signs: SignTriple | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[AxiomCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            mark = "PASS" if c.passed else "FAIL"
-            suffix = f"  [{c.witness}]" if c.witness else ""
-            lines.append(f"{mark}  {c.name}{suffix}")
-        return "\n".join(lines)
-
-
 #: The two sides K conj(A) and A K of J's relation with an operator A.
 _Sides = tuple[ExactMatrix, ExactMatrix]
-
-
-def _relation_sign(k: ExactMatrix, op: ExactMatrix) -> tuple[int, _Sides | None]:
-    """Sign s with K conj(op) = s * op K, or 0 and the two sides if neither
-    sign holds."""
-    lhs = k @ op.conj()
-    rhs = op @ k
-    if lhs == rhs:
-        return 1, None
-    if lhs == -rhs:
-        return -1, None
-    return 0, (lhs, rhs)
 
 
 class _Measured(NamedTuple):
@@ -181,6 +150,62 @@ class _Measured(NamedTuple):
     eps_prime: int | None
     eps_dprime: int | None
     sides: _Sides | None = None
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """The per-axiom checks of one triple, and J's signs as they measured them."""
+
+    checks: tuple[AxiomCheck, ...]
+    #: J's signs with the sides of the first relation without a uniform
+    #: sign; None when the operator shapes fail and nothing further is checked
+    measured: _Measured | None = None
+    #: the triple, kept only when its shapes fail, so that ``require_signs``
+    #: can measure it as ``extract_signs`` does
+    misshaped: FiniteSpectralTriple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def failures(self) -> tuple[AxiomCheck, ...]:
+        return tuple(c for c in self.checks if not c.passed)
+
+    @property
+    def signs(self) -> SignTriple | None:
+        """J's signs; None when the operator shapes fail, J o J is not +-I,
+        or J has no uniform sign against D or Omega."""
+        m = self.measured
+        if m is None or m.eps is None or m.eps_prime == 0 or m.eps_dprime == 0:
+            return None
+        return SignTriple(m.eps, m.eps_prime, m.eps_dprime)
+
+    def require_signs(self) -> SignTriple:
+        """J's signs, or what ``extract_signs`` raises on the same triple."""
+        if self.measured is None:
+            return extract_signs(self.misshaped)
+        return _sign_triple(self.measured)
+
+    def __str__(self) -> str:
+        lines = []
+        for c in self.checks:
+            mark = "PASS" if c.passed else "FAIL"
+            suffix = f"  [{c.witness}]" if c.witness else ""
+            lines.append(f"{mark}  {c.name}{suffix}")
+        return "\n".join(lines)
+
+
+def _relation_sign(k: ExactMatrix, op: ExactMatrix) -> tuple[int, _Sides | None]:
+    """Sign s with K conj(op) = s * op K, or 0 and the two sides if neither
+    sign holds."""
+    lhs = k @ op.conj()
+    rhs = op @ k
+    if lhs == rhs:
+        return 1, None
+    if lhs == -rhs:
+        return -1, None
+    return 0, (lhs, rhs)
 
 
 def _measure_signs(t: FiniteSpectralTriple, stop_at_failure: bool = False) -> _Measured:
@@ -231,21 +256,13 @@ def _mismatch(a: ExactMatrix, b: ExactMatrix) -> str | None:
 
 def validate_triple(t: FiniteSpectralTriple) -> ValidationReport:
     """Check every defining axiom; pure, returns a per-axiom report."""
-    return _validate(t)[0]
+    return _validate(t)
 
 
-def validate_and_extract(t: FiniteSpectralTriple) -> tuple[ValidationReport, SignTriple]:
-    """``validate_triple(t)`` and ``extract_signs(t)`` from one measurement
-    of J's signs; raises what ``extract_signs`` raises."""
-    report, measured = _validate(t)
-    if measured is None:  # the shapes failed before any sign was measured
-        return report, extract_signs(t)
-    return report, _sign_triple(measured)
-
-
-def _validate(t: FiniteSpectralTriple) -> tuple[ValidationReport, _Measured | None]:
-    """The validation report, and the signs it measured (None when the
-    operator shapes fail and nothing further is checked)."""
+def _validate(t: FiniteSpectralTriple) -> ValidationReport:
+    """The report ``validate_triple`` returns.  The package's own callers,
+    which read its signs, call this one, so the benchmark's
+    ``triples.validate_triple`` span counts only direct validations."""
     checks: list[AxiomCheck] = []
 
     def add(name: str, passed: bool, witness: str | None = None) -> None:
@@ -257,7 +274,7 @@ def _validate(t: FiniteSpectralTriple) -> tuple[ValidationReport, _Measured | No
     shape_ok = all(m.is_square and m.rows == t.dim for m in ops)
     add("operator_shapes", shape_ok, "operator dimensions disagree with dim")
     if not shape_ok:
-        return ValidationReport(tuple(checks)), None
+        return ValidationReport(tuple(checks), misshaped=t)
 
     def add_equal(name: str, a: ExactMatrix, b: ExactMatrix, prefix: str = "") -> None:
         witness = _mismatch(a, b)
@@ -283,9 +300,6 @@ def _validate(t: FiniteSpectralTriple) -> tuple[ValidationReport, _Measured | No
 
     measured = _measure_signs(t)
     eps, eps_prime, eps_dprime, _sides = measured
-    signs = None
-    if eps is not None and eps_prime != 0 and eps_dprime != 0:
-        signs = SignTriple(eps, eps_prime, eps_dprime)
     add("real_structure_sign_involutive", eps is not None,
         "K conj(K) is not +-identity")
     add("real_structure_vs_dirac", eps_prime != 0,  # None (D = 0) passes
@@ -302,7 +316,7 @@ def _validate(t: FiniteSpectralTriple) -> tuple[ValidationReport, _Measured | No
             add(f"order_zero_{i}_{j}", comm.is_zero(),
                 f"[gen {i}, J gen{j}^dagger J^-1] != 0")
 
-    return ValidationReport(tuple(checks), signs), measured
+    return ValidationReport(tuple(checks), measured)
 
 
 # --- sign extraction and table lookup -------------------------------------------
@@ -371,7 +385,8 @@ def restrict_majorana_weyl(t: FiniteSpectralTriple) -> tuple[int, int]:
     ker(Omega - I) to itself, and the same split there gives real
     dimension dim_C ker(Omega - I) = (n + tr Omega)/2.
     """
-    report, signs = validate_and_extract(t)
+    report = _validate(t)
+    signs = report.require_signs()
     if not report.passed:
         names = ", ".join(c.name for c in report.failures)
         raise InvalidTriple(f"triple fails validation: {names}")

@@ -9,7 +9,9 @@ instead of ``int`` when integral, a scan
 of all 2^n generator subset products instead of the sign calculus that
 picks the real structure's subset, or the rank of a realified linear
 system instead of the real-form theorem that gives the Majorana-Weyl
-dimensions) so that agreement between the two routes is meaningful.
+dimensions, or a document object for the stdlib JSON encoder instead of
+the serializer's direct text) so that agreement between the two routes
+is meaningful.
 Nothing in the package imports this module.
 """
 
@@ -22,8 +24,10 @@ from typing import Iterator, Sequence, Union
 import sympy
 
 from kocalc.clifford import CliffordRep
-from kocalc.errors import DimensionMismatch, NotInvolutive, RealStructureNotFound
+from kocalc.errors import DimensionMismatch, KocalcError, RealStructureNotFound
 from kocalc.linalg import GR_ONE, GR_ZERO, Antiunitary, ExactMatrix, GaussianRational, rank
+from kocalc.triple_io import SCHEMA_VERSION
+from kocalc.triples import FiniteSpectralTriple
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -339,6 +343,10 @@ def _fixed_point_system(j: Antiunitary, fixed_ops: Sequence[ExactMatrix]) -> Exa
     return ScalarRowMatrix(len(rows), 2 * n, rows).to_exact()
 
 
+class NotInvolutive(KocalcError):
+    """An antiunitary operator was required to square to +identity."""
+
+
 def real_fixed_dim(j: Antiunitary) -> int:
     """Real dimension of the fixed subspace {v : j(v) = v}, by elimination.
 
@@ -452,3 +460,29 @@ def sympy_real_fixed_dim(k: ExactMatrix,
 def sympy_is_unitary(m: ExactMatrix) -> bool:
     s = to_sympy(m)
     return sympy.simplify(s.H * s - sympy.eye(m.rows)) == sympy.zeros(m.rows, m.cols)
+
+
+# --- the document object of a serialized triple ------------------------------------
+
+def _matrix_to_block(m: ExactMatrix) -> dict:
+    cells = [{"re": "0", "im": "0"} for _ in range(m.rows * m.cols)]
+    d = m.den
+    for i, row in enumerate(m.sparse_rows):
+        for j, re, im in row:
+            cells[i * m.cols + j] = {"re": str(Fraction(re, d)), "im": str(Fraction(im, d))}
+    return {"rows": m.rows, "cols": m.cols, "entries": cells}
+
+
+def to_json_dict(t: FiniteSpectralTriple, metadata: dict[str, str] | None = None) -> dict:
+    """The schema-v1 document of ``t``: ``serialize_triple(t, metadata)`` must
+    equal ``json.dumps`` of it with ``indent=2, ensure_ascii=True`` and a
+    newline."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "dim": t.dim,
+        "dirac": _matrix_to_block(t.dirac),
+        "chirality": None if t.chirality is None else _matrix_to_block(t.chirality),
+        "real_structure_k": _matrix_to_block(t.real_structure.k),
+        "algebra_gens": [_matrix_to_block(a) for a in t.algebra_gens],
+        "metadata": dict(sorted((metadata or {}).items())),
+    }

@@ -109,7 +109,7 @@ def test_chirality_properties(p, q):
     rep = build_gammas(p, q)
     omega = chirality(rep)
     eye = ExactMatrix.identity(rep.dim)
-    assert omega.is_hermitian()
+    assert omega == omega.dagger()
     assert omega @ omega == eye
     for g in rep.gammas:
         assert omega @ g == (g @ omega).scaled(GaussianRational(-1))
@@ -141,9 +141,9 @@ def test_real_structure_invariants(p, q):
     assert k @ omega.conj() == (omega @ k).scaled(GaussianRational(eps_dd))
 
 
-def test_real_structure_deterministic_and_cached():
+def test_real_structure_deterministic():
     rep = build_gammas(2, 2)
-    assert find_real_structure(rep) is find_real_structure(rep)
+    assert find_real_structure(rep) == find_real_structure(rep)
 
 
 def test_real_structure_eight_dimensional_spot_checks():
@@ -181,7 +181,7 @@ def test_real_structure_issues_linearly_many_products(monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
-    find_real_structure.__wrapped__(rep)
+    find_real_structure(rep)
     # at most n products build K, 2n check it and one checks unitarity
     assert len(calls) <= 3 * rep.n + 1
 

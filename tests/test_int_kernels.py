@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kocalc.linalg as linalg_module
-from kocalc.linalg import GR_ZERO, ExactMatrix, GaussianRational, as_sign_times_identity
+from kocalc.linalg import GR_I, GR_ZERO, ExactMatrix, GaussianRational, as_sign_times_identity
 from kocalc.products import ProductMode, verify_product
 from kocalc.triples import _mismatch, canonical_triple
 
@@ -224,6 +224,26 @@ def test_matrix_rejects_bool_and_float_entries(entry):
         ExactMatrix.from_rows([[1, entry]])
     with pytest.raises(TypeError):
         ExactMatrix.identity(2).scaled(entry)
+
+
+def test_scalar_operators_defer_to_a_matrix_operand():
+    m = ExactMatrix.from_rows([[1, Fraction(1, 2)], [GR_I, 0]])
+    assert GR_I * m == m.scaled(GR_I) == m * GR_I
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a / b):
+        with pytest.raises(TypeError):
+            op(GR_I, m)
+
+
+@pytest.mark.parametrize("other", [0.5, True])
+def test_scalar_operators_reject_float_and_bool_operands(other):
+    with pytest.raises(TypeError):
+        GR_I * other
+    with pytest.raises(TypeError):
+        other * GR_I
+    with pytest.raises(TypeError):
+        GR_I - other
+    with pytest.raises(TypeError):
+        other - GR_I
 
 
 # --- no scalar objects on the product path ----------------------------------------

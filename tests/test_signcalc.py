@@ -247,13 +247,13 @@ def test_matrix_calculus_agreement_rows():
 
 def test_matrix_calculus_agreement_measures_each_representative_once(monkeypatch):
     calls = []
-    original = signcalc_module.validate_and_extract
+    original = signcalc_module._validate
 
     def counting(t):
         calls.append(t)
         return original(t)
 
-    monkeypatch.setattr(signcalc_module, "validate_and_extract", counting)
+    monkeypatch.setattr(signcalc_module, "_validate", counting)
     rows = matrix_calculus_agreement()
     assert len(calls) == 4
     # the unmeasured route: verify_product measures both factors per cell

@@ -30,7 +30,6 @@ from kocalc.triples import (
     ko_from_signs,
     restrict_majorana_weyl,
     twist_real_structure,
-    validate_and_extract,
     validate_triple,
 )
 from kocalc.products import ProductMode, product_triple, verify_product
@@ -258,12 +257,13 @@ def _edge_triples():
                                for p, q in EVEN_PQ[:8] for mode in dirac_modes(p)]
                          + _edge_triples())
 def test_validate_and_extract_matches_the_two_calls(t):
+    # the signs read from the validation report are extract_signs' outcome
     expected = _outcome(extract_signs, t)
-    got = _outcome(validate_and_extract, t)
-    if isinstance(expected, SignTriple):
-        assert got == (validate_triple(t), expected)
-    else:
-        assert got == expected
+    report = validate_triple(t)
+    got = _outcome(lambda t: report.require_signs(), t)
+    assert got == expected
+    if isinstance(expected, SignTriple) and report.measured is not None:
+        assert report.signs == expected
 
 
 def _misshaped_triples():
@@ -347,7 +347,7 @@ def test_indefinite_sign_carries_the_sides_of_the_first_failing_relation():
     both = FiniteSpectralTriple(2, (), d, omega, Antiunitary(eye))
     only_omega = FiniteSpectralTriple(2, (), ExactMatrix.zeros(2, 2), omega, Antiunitary(eye))
     for t, op, name in ((both, d, "D"), (only_omega, omega, "Omega")):
-        for call in (extract_signs, validate_and_extract):
+        for call in (extract_signs, lambda t: validate_triple(t).require_signs()):
             with pytest.raises(IndefiniteSign, match=f"sign with {name}$") as info:
                 call(t)
             assert info.value.sides == (op.conj(), op)
@@ -545,7 +545,7 @@ def test_restriction_validates_first():
     # trace formula would give (2, 1) and elimination (2, 0)
     t = canonical_triple(1, 1, "gamma1")
     doubled = FiniteSpectralTriple(t.dim, (), t.dirac, t.chirality.scaled(2), t.real_structure)
-    assert validate_and_extract(doubled)[1] == SignTriple(1, 1, 1)
+    assert validate_triple(doubled).require_signs() == SignTriple(1, 1, 1)
     with pytest.raises(InvalidTriple,
                        match="^triple fails validation: chirality_involution$"):
         restrict_majorana_weyl(doubled)
