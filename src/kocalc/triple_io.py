@@ -7,8 +7,7 @@ row-major blocks {"rows": r, "cols": c, "entries": [{"re": "p/q",
 Serialization is byte-deterministic: the same triple and metadata always
 produce identical bytes, and parse(serialize(t)) reproduces t exactly.
 The serializer writes the text straight from the triple, and the parser
-builds the triple and its metadata straight from the JSON object; there
-is no intermediate document type.
+builds the triple and its metadata straight from the JSON object.
 """
 
 from __future__ import annotations
