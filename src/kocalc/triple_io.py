@@ -6,8 +6,16 @@ row-major blocks {"rows": r, "cols": c, "entries": [{"re": "p/q",
 "im": "p/q"}, ...]} with rationals as canonical lowest-terms strings.
 Serialization is byte-deterministic: the same triple and metadata always
 produce identical bytes, and parse(serialize(t)) reproduces t exactly.
-The serializer writes the text straight from the triple, and the parser
-builds the triple and its metadata straight from the JSON object.
+
+Reading takes one of two routes to one result.  A document laid out as
+the serializer writes it, with no algebra generators, goes to the
+canonical reader: a byte search skips the zero cells, only the nonzero
+ones are built, and the result is kept only if writing it back gives the
+same bytes.  Any other document, and any the canonical reader does not
+keep, goes through ``json.loads``, which also refuses a name repeated in
+one object and reports every error.  Both routes refuse a dim above
+``MAX_DOCUMENT_DIM`` before any block is built, and the serializer
+refuses to write one.
 """
 
 from __future__ import annotations
@@ -17,11 +25,17 @@ import re
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .errors import InvalidTriple, NotUnitary, ParseError, UnsupportedVersion
+from .clifford import MAX_GENERATORS
+from .errors import InvalidArgument, InvalidTriple, NotUnitary, ParseError, UnsupportedVersion
 from .linalg import Antiunitary, ExactMatrix
 from .triples import FiniteSpectralTriple, validate_triple
 
 SCHEMA_VERSION = 1
+
+#: The largest dim a document may declare or be written with, that of the
+#: largest canonical triple.  At 54 bytes a zero or one-digit cell, a
+#: 128x128 block is 885 KB and a document with D, chirality and K 2.7 MB.
+MAX_DOCUMENT_DIM = 2 ** (MAX_GENERATORS // 2)
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -95,6 +109,13 @@ def _positive_int(x: Any, name: str, location: str) -> int:
     return x
 
 
+def _document_dim(x: Any) -> int:
+    dim = _positive_int(x, "dim", "dim")
+    if dim > MAX_DOCUMENT_DIM:
+        raise ParseError(f"dim {dim} exceeds the limit of {MAX_DOCUMENT_DIM}", "dim")
+    return dim
+
+
 def _block_to_matrix(obj: Any, location: str) -> ExactMatrix:
     if not isinstance(obj, dict):
         raise ParseError(f"matrix block must be an object, got {type(obj).__name__}", location)
@@ -144,7 +165,7 @@ def _document_from_json(obj: Any) -> tuple[FiniteSpectralTriple, dict[str, str]]
     if version != SCHEMA_VERSION:
         raise UnsupportedVersion(f"schema version {version} is not supported (expected {SCHEMA_VERSION})")
 
-    dim = _positive_int(obj["dim"], "dim", "dim")
+    dim = _document_dim(obj["dim"])
 
     dirac = _block_to_matrix(obj["dirac"], "dirac")
     chirality = None
@@ -158,8 +179,13 @@ def _document_from_json(obj: Any) -> tuple[FiniteSpectralTriple, dict[str, str]]
     gens = tuple(
         _block_to_matrix(g, f"algebra_gens[{i}]") for i, g in enumerate(gens_obj)
     )
+    return _checked(dim, dirac, chirality, k, gens, obj["metadata"])
 
-    meta_obj = obj["metadata"]
+
+def _checked(dim: int, dirac: Any, chirality: Any, k: Any, gens: tuple[ExactMatrix, ...],
+             meta_obj: Any) -> tuple[FiniteSpectralTriple, dict[str, str]]:
+    """The triple and sorted metadata, after the checks both read routes
+    make once the blocks are built."""
     if not isinstance(meta_obj, dict) or not all(
         isinstance(a, str) and isinstance(b, str) for a, b in meta_obj.items()
     ):
@@ -187,7 +213,18 @@ def serialize_triple(
     """The document's bytes: exactly what ``json.dumps(..., indent=2,
     ensure_ascii=True)`` writes for the document object, with metadata
     keys sorted, and a newline.  Only the small metadata object goes
-    through the pure-Python encoder that ``indent`` selects."""
+    through the pure-Python encoder that ``indent`` selects.  A dim or
+    block side over ``MAX_DOCUMENT_DIM`` is refused before any text is
+    built."""
+    blocks = (t.dirac, t.chirality, t.real_structure.k, *t.algebra_gens)
+    size = max(t.dim, *(n for m in blocks if m is not None for n in (m.rows, m.cols)))
+    if size > MAX_DOCUMENT_DIM:
+        raise InvalidArgument(
+            f"cannot write a document of dimension {size}: the limit is {MAX_DOCUMENT_DIM}")
+    return _document_bytes(t, metadata)
+
+
+def _document_bytes(t: FiniteSpectralTriple, metadata: Mapping[str, str] | None) -> bytes:
     gens = "[]"
     if t.algebra_gens:
         gens = "[\n    " + ",\n    ".join(_block_text(g, 2) for g in t.algebra_gens) + "\n  ]"
@@ -208,18 +245,114 @@ def serialize_triple(
     return text.encode("utf-8")
 
 
-def parse_document(data: bytes | str) -> tuple[FiniteSpectralTriple, dict[str, str]]:
-    """Parse without axiom validation; returns the triple and its metadata."""
+# --- the canonical reader -------------------------------------------------------------
+
+_HEAD = b'{\n  "schema_version": %d,\n  "dim": ' % SCHEMA_VERSION
+_BLOCK_HEAD = re.compile(rb'\{\n    "rows": (\d+),\n    "cols": (\d+),\n    "entries": \[')
+#: The separator before a cell, and the length of a zero cell with the
+#: separator after it, as ``_block_text`` writes them at depth 1.
+_CELL_SEP = b",\n      "
+_ZERO_STEP = len(b'{\n        "re": "0",\n        "im": "0"\n      }') + len(_CELL_SEP)
+#: Maps every byte the "[" of the entries, a zero cell or a separator can
+#: hold to "." and every other byte to "x", so that a search for "x" skips
+#: the zero cells and stops at a nonzero cell or at the closing "]".
+_MARKS = bytes(46 if c in b'[{}\n ":,0reim' else 120 for c in range(256))
+
+
+def _rational(s: bytes) -> int | Fraction:
+    """A rational part, read leniently: byte equality with the writer's
+    text proves it canonical afterwards."""
+    return Fraction(s.decode()) if b"/" in s else int(s)
+
+
+def _read_block(text: bytes, marks: bytes, pos: int, dim: int) -> tuple[ExactMatrix, int]:
+    """The ``dim``x``dim`` depth-1 block at ``pos``, read as if canonical,
+    and the position after it."""
+    head = _BLOCK_HEAD.match(text, pos)
+    if head is None or int(head[1]) != dim or int(head[2]) != dim:
+        raise ValueError("not a canonical block header")
+    data: list[list] = [[] for _ in range(dim)]
+    # From prev_end (the "[", or just after a cell) to the next nonzero
+    # cell lie a separator and, per zero cell skipped, _ZERO_STEP bytes.
+    prev_end, index = head.end() - 1, 0
+    while text[mark := marks.index(b"x", prev_end)] != 93:  # "]"
+        start = text.rindex(b"{", prev_end, mark)
+        index += (start - prev_end - len(_CELL_SEP)) // _ZERO_STEP
+        prev_end = text.index(b"}", mark) + 1
+        re, im = text[start:prev_end].split(b'"')[3::4]
+        i, j = divmod(index, dim)
+        data[i].append((j, _rational(re), _rational(im)))
+        index += 1
+    return ExactMatrix._of_rationals(dim, dim, data), text.index(b"}", mark) + 1
+
+
+def _read_canonical(text: bytes) -> tuple[FiniteSpectralTriple, dict[str, str]] | None:
+    """The triple and metadata of a document as ``serialize_triple`` writes
+    it with no algebra generators, or None for any other document.  The
+    blocks are read as if canonical, and the result is accepted only when
+    the writer gives back ``text``."""
+    if not text.startswith(_HEAD):
+        return None
+    pos = text.index(b",", len(_HEAD))
+    dim = _document_dim(int(text[len(_HEAD):pos]))
+    marks = text.translate(_MARKS)
+    blocks: list[ExactMatrix | None] = []
+    for name in (b"dirac", b"chirality", b"real_structure_k"):
+        key = b',\n  "%s": ' % name
+        if not text.startswith(key, pos):
+            return None
+        if text.startswith(b"null", pos + len(key)):
+            blocks.append(None)
+            pos += len(key) + 4
+        else:
+            block, pos = _read_block(text, marks, pos + len(key), dim)
+            blocks.append(block)
+    key = b',\n  "algebra_gens": [],\n  "metadata": '
+    if not text.startswith(key, pos) or not text.endswith(b"\n}\n"):
+        return None
+    dirac, chirality, k = blocks
+    triple, meta = _checked(dim, dirac, chirality, k, (), json.loads(text[pos + len(key):-3]))
+    return (triple, meta) if _document_bytes(triple, meta) == text else None
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """``object_pairs_hook`` that refuses a name given twice in one object."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
+def _read_json(data: bytes | str) -> tuple[FiniteSpectralTriple, dict[str, str]]:
+    """Any document through ``json.loads``: the route for every document
+    the canonical reader does not accept, and the one that reports errors."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not valid UTF-8: {exc}") from exc
     try:
-        obj = json.loads(data)
+        obj = json.loads(data, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"document is not valid JSON: {exc}") from exc
     return _document_from_json(obj)
+
+
+def parse_document(data: bytes | str) -> tuple[FiniteSpectralTriple, dict[str, str]]:
+    """Parse without axiom validation; returns the triple and its metadata.
+
+    A document ``serialize_triple`` wrote is read by the canonical reader;
+    any other document, or any failure on the way, takes the ``json.loads``
+    route, which reads every document to the same result or error."""
+    try:
+        read = _read_canonical(data if isinstance(data, bytes) else data.encode("utf-8"))
+    except Exception:  # the json.loads route reports whatever went wrong
+        read = None
+    return read if read is not None else _read_json(data)
 
 
 def parse_triple(data: bytes | str, validate: bool = True) -> FiniteSpectralTriple:

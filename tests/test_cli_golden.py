@@ -60,6 +60,7 @@ CASES = (
     ("validate-not-hermitian", ("validate", "{tmp}/not_hermitian.json")),
     ("validate-malformed-rational", ("validate", "{tmp}/malformed.json")),
     ("validate-unparseable", ("validate", "{tmp}/unparseable.json")),
+    ("validate-duplicate-key", ("validate", "{tmp}/duplicate_key.json")),
     ("validate-missing", ("validate", "{tmp}/missing.json")),
     ("product-natural-out", ("product", "--mode", "natural", "{tmp}/c40.json",
                              "{tmp}/c20.json", "--out", "{tmp}/out/prod.json")),
@@ -132,6 +133,9 @@ def write_inputs(tmp: Path) -> None:
     text = (tmp / "c20.json").read_bytes()
     (tmp / "malformed.json").write_bytes(text.replace(b'"re": "0",', b'"re": "0.5",', 1))
     (tmp / "unparseable.json").write_text("{")
+    # "dim" given twice: the last value would be the one json.loads keeps
+    (tmp / "duplicate_key.json").write_bytes(
+        text.replace(b'"dim": 2,', b'"dim": 7,\n  "dim": 2,', 1))
 
 
 def run_case(tmp: Path, argv: tuple[str, ...]) -> dict:

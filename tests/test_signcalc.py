@@ -21,6 +21,8 @@ from kocalc.signcalc import (
 )
 from kocalc.triples import EPSILON_TABLE, SignTriple, canonical_triple
 
+from signature_sweep import canonical_factors, sweep
+
 EVEN = (0, 2, 4, 6)
 ODD = (1, 3, 5, 7)
 
@@ -269,3 +271,12 @@ def test_representatives_have_small_dimension():
     for sigma, (p, q) in MATRIX_REPRESENTATIVES.items():
         assert (p - q) % 8 == sigma
         assert 2 ** ((p + q) // 2) <= 4
+
+
+def test_every_canonical_triple_up_to_eight_generators_agrees_with_the_calculus():
+    # 44 factors (p+q in 2..8, both Dirac modes), 44 x 44 cells per mode
+    assert len(canonical_factors(8)) == 44
+    statuses, disagreeing = sweep(8)
+    assert disagreeing == []
+    assert statuses == {"confirmed-compatible": 1936, "confirmed-incompatible": 400,
+                        "not-falsifiable": 1536}
