@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -53,7 +54,7 @@ from .signcalc import (
     matrix_calculus_agreement,
     scenario_check,
 )
-from .triple_io import parse_document, serialize_triple
+from .triple_io import MAX_DOCUMENT_BYTES, check_document_dim, parse_document, serialize_triple
 from .triples import (
     AxiomCheck,
     FiniteSpectralTriple,
@@ -95,7 +96,15 @@ def _err(message: str) -> None:
 
 
 def _load_triple(path: str) -> tuple[FiniteSpectralTriple, dict[str, str]]:
-    return parse_document(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        # A regular file is read in one call sized by its length.  Anything
+        # else, or a file that grew, is read on to one byte over the bound,
+        # which is enough for parse_document to refuse it.
+        size = os.fstat(f.fileno()).st_size
+        data = f.read(min(size, MAX_DOCUMENT_BYTES) + 1)
+        if len(data) > size:
+            data += f.read(MAX_DOCUMENT_BYTES + 1 - len(data))
+    return parse_document(data)
 
 
 # Each subcommand has a ``_cmd_*(args) -> (payload, exit code)`` and a
@@ -218,6 +227,8 @@ def _cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
     mode = ProductMode(args.mode)
     t1, _m1 = _load_triple(args.first)
     t2, _m2 = _load_triple(args.second)
+    if args.out:
+        check_document_dim(t1.dim * t2.dim)
     v = verify_product(t1, t2, mode, keep_product=bool(args.out))
 
     wrote = None

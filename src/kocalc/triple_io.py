@@ -6,16 +6,21 @@ row-major blocks {"rows": r, "cols": c, "entries": [{"re": "p/q",
 "im": "p/q"}, ...]} with rationals as canonical lowest-terms strings.
 Serialization is byte-deterministic: the same triple and metadata always
 produce identical bytes, and parse(serialize(t)) reproduces t exactly.
+The writer first builds a compact form in which each zero cell of a
+top-level block, with the separator after it, is one NUL byte; a single
+``bytes.replace`` expands that to the document.  So a write costs one
+string per nonzero cell, and the exact length is known before expanding.
 
 Reading takes one of two routes to one result.  A document laid out as
 the serializer writes it, with no algebra generators, goes to the
 canonical reader: a byte search skips the zero cells, only the nonzero
-ones are built, and the result is kept only if writing it back gives the
-same bytes.  Any other document, and any the canonical reader does not
-keep, goes through ``json.loads``, which also refuses a name repeated in
-one object and reports every error.  Both routes refuse a dim above
-``MAX_DOCUMENT_DIM`` before any block is built, and the serializer
-refuses to write one.
+ones are built, and the result is kept only if writing it back, expanded
+in full, gives the same bytes.  Any other document, and any the canonical
+reader does not keep, goes through ``json.loads``, which also refuses a
+name repeated in one object and reports every error.  Both routes refuse
+a document over ``MAX_DOCUMENT_BYTES`` before reading it and a dim above
+``MAX_DOCUMENT_DIM`` before any block is built; the serializer refuses
+to write either.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .clifford import MAX_GENERATORS
 from .errors import InvalidArgument, InvalidTriple, NotUnitary, ParseError, UnsupportedVersion
@@ -36,6 +41,13 @@ SCHEMA_VERSION = 1
 #: largest canonical triple.  At 54 bytes a zero or one-digit cell, a
 #: 128x128 block is 885 KB and a document with D, chirality and K 2.7 MB.
 MAX_DOCUMENT_DIM = 2 ** (MAX_GENERATORS // 2)
+
+#: The most bytes a document may have, 4 MiB.  The largest the serializer
+#: writes at ``MAX_DOCUMENT_DIM`` with no algebra generators, D, chirality
+#: and K of 55-byte cells, is 2.7 MB; the bound leaves room for longer
+#: rationals and metadata, or one dim-128 generator, while capping what a
+#: read holds in memory.
+MAX_DOCUMENT_BYTES = 4 * 2 ** 20
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -70,32 +82,61 @@ def str_to_rational(s: Any, location: str) -> int | Fraction:
 #: how a zero entry is written (handed out only as copies)
 _ZERO_CELL = {"re": "0", "im": "0"}
 
+#: In the compact form of a block, one character stands for a zero cell and
+#: the separator after it.  The writer emits it nowhere else: rationals are
+#: digits, and ``json.dumps(ensure_ascii=True)`` writes a NUL as ``\u0000``.
+_ZERO_MARK = "\0"
 
-def _block_text(m: ExactMatrix, depth: int) -> str:
-    """Matrix block ``m`` as ``json.dumps(..., indent=2)`` writes it ``depth``
-    levels deep.  Rational strings need no JSON escaping."""
-    pad = "\n" + "  " * depth
-    key_pad = pad + "  "
-    cell_pad = key_pad + "  "
+
+def _cell_writer(depth: int) -> Callable[[object, object], str]:
+    """Writes one cell of a block ``depth`` levels deep, with the separator
+    that goes before the next cell."""
+    cell_pad = "\n" + "  " * (depth + 2)
     part_pad = cell_pad + "  "
 
     def cell(re: object, im: object) -> str:
-        return f'{{{part_pad}"re": "{re}",{part_pad}"im": "{im}"{cell_pad}}}'
+        return f'{{{part_pad}"re": "{re}",{part_pad}"im": "{im}"{cell_pad}}},{cell_pad}'
 
-    zero = cell(0, 0)
+    return cell
+
+
+def _block_text(m: ExactMatrix, depth: int) -> str:
+    """Matrix block ``m`` as ``json.dumps(..., indent=2)`` writes it ``depth``
+    levels deep, in compact form: each zero cell but the last, with the
+    separator after it, is the one character ``_ZERO_MARK``, so a block costs
+    one string per nonzero cell.  Replacing every mark by
+    ``_cell_writer(depth)(0, 0)`` gives the full text, which the canonical
+    reader still compares byte for byte with its input.  Rational strings
+    need no JSON escaping."""
+    pad = "\n" + "  " * depth
+    key_pad = pad + "  "
+    sep = "," + key_pad + "  "
+    cell = _cell_writer(depth)
     d = m.den
-    cells: list[str] = []
+    parts: list[str] = []
     for row in m.sparse_rows:
         col = 0
         for j, re, im in row:
-            cells += [zero] * (j - col)
+            parts.append(_ZERO_MARK * (j - col))
             # str of an int, or of a lowest-terms Fraction: canonical either way
-            cells.append(cell(re, im) if d == 1 else cell(Fraction(re, d), Fraction(im, d)))
+            parts.append(cell(re, im) if d == 1 else cell(Fraction(re, d), Fraction(im, d)))
             col = j + 1
-        cells += [zero] * (m.cols - col)
-    entries = f",{cell_pad}".join(cells)
+        parts.append(_ZERO_MARK * (m.cols - col))
+    entries = "".join(parts)
+    if entries.endswith(_ZERO_MARK):
+        entries = entries[:-1] + cell(0, 0)
+    # the last cell takes no separator
     return (f'{{{key_pad}"rows": {m.rows},{key_pad}"cols": {m.cols},'
-            f'{key_pad}"entries": [{cell_pad}{entries}{key_pad}]{pad}}}')
+            f'{key_pad}"entries": [{sep[1:]}{entries[:-len(sep)]}{key_pad}]{pad}}}')
+
+
+#: A zero cell and the separator after it in a depth-1 block: what each
+#: ``_ZERO_MARK`` of a compact document stands for.
+_ZERO_AND_SEP = _cell_writer(1)(0, 0).encode()
+
+
+def _expanded(compact: bytes) -> bytes:
+    return compact.replace(_ZERO_MARK.encode(), _ZERO_AND_SEP)
 
 
 def _is_int(x: Any) -> bool:
@@ -207,6 +248,14 @@ def _checked(dim: int, dirac: Any, chirality: Any, k: Any, gens: tuple[ExactMatr
     return triple, dict(sorted(meta_obj.items()))
 
 
+def check_document_dim(size: int) -> None:
+    """Refuse a document whose dim or largest block side ``size`` is over
+    ``MAX_DOCUMENT_DIM``."""
+    if size > MAX_DOCUMENT_DIM:
+        raise InvalidArgument(
+            f"cannot write a document of dimension {size}: the limit is {MAX_DOCUMENT_DIM}")
+
+
 def serialize_triple(
     t: FiniteSpectralTriple, metadata: Mapping[str, str] | None = None
 ) -> bytes:
@@ -215,19 +264,25 @@ def serialize_triple(
     keys sorted, and a newline.  Only the small metadata object goes
     through the pure-Python encoder that ``indent`` selects.  A dim or
     block side over ``MAX_DOCUMENT_DIM`` is refused before any text is
-    built."""
+    built, and a document over ``MAX_DOCUMENT_BYTES`` before its compact
+    form is expanded."""
     blocks = (t.dirac, t.chirality, t.real_structure.k, *t.algebra_gens)
-    size = max(t.dim, *(n for m in blocks if m is not None for n in (m.rows, m.cols)))
-    if size > MAX_DOCUMENT_DIM:
+    check_document_dim(max(t.dim, *(n for m in blocks if m is not None for n in (m.rows, m.cols))))
+    compact = _compact_document(t, metadata)
+    size = len(compact) + compact.count(_ZERO_MARK.encode()) * (len(_ZERO_AND_SEP) - 1)
+    if size > MAX_DOCUMENT_BYTES:
         raise InvalidArgument(
-            f"cannot write a document of dimension {size}: the limit is {MAX_DOCUMENT_DIM}")
-    return _document_bytes(t, metadata)
+            f"cannot write a document of {size} bytes: the limit is {MAX_DOCUMENT_BYTES}")
+    return _expanded(compact)
 
 
-def _document_bytes(t: FiniteSpectralTriple, metadata: Mapping[str, str] | None) -> bytes:
+def _compact_document(t: FiniteSpectralTriple, metadata: Mapping[str, str] | None) -> bytes:
+    """The document with its depth-1 blocks in compact form; algebra
+    generators, two levels deep, are written in full."""
     gens = "[]"
     if t.algebra_gens:
-        gens = "[\n    " + ",\n    ".join(_block_text(g, 2) for g in t.algebra_gens) + "\n  ]"
+        gens = ",\n    ".join(_block_text(g, 2) for g in t.algebra_gens)
+        gens = "[\n    " + gens.replace(_ZERO_MARK, _cell_writer(2)(0, 0)) + "\n  ]"
     chirality = "null" if t.chirality is None else _block_text(t.chirality, 1)
     meta = json.dumps(dict(sorted((metadata or {}).items())), indent=2,
                       ensure_ascii=True).replace("\n", "\n  ")
@@ -252,7 +307,7 @@ _BLOCK_HEAD = re.compile(rb'\{\n    "rows": (\d+),\n    "cols": (\d+),\n    "ent
 #: The separator before a cell, and the length of a zero cell with the
 #: separator after it, as ``_block_text`` writes them at depth 1.
 _CELL_SEP = b",\n      "
-_ZERO_STEP = len(b'{\n        "re": "0",\n        "im": "0"\n      }') + len(_CELL_SEP)
+_ZERO_STEP = len(_ZERO_AND_SEP)
 #: Maps every byte the "[" of the entries, a zero cell or a separator can
 #: hold to "." and every other byte to "x", so that a search for "x" skips
 #: the zero cells and stops at a nonzero cell or at the closing "]".
@@ -312,7 +367,7 @@ def _read_canonical(text: bytes) -> tuple[FiniteSpectralTriple, dict[str, str]] 
         return None
     dirac, chirality, k = blocks
     triple, meta = _checked(dim, dirac, chirality, k, (), json.loads(text[pos + len(key):-3]))
-    return (triple, meta) if _document_bytes(triple, meta) == text else None
+    return (triple, meta) if _expanded(_compact_document(triple, meta)) == text else None
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -347,9 +402,13 @@ def parse_document(data: bytes | str) -> tuple[FiniteSpectralTriple, dict[str, s
 
     A document ``serialize_triple`` wrote is read by the canonical reader;
     any other document, or any failure on the way, takes the ``json.loads``
-    route, which reads every document to the same result or error."""
+    route, which reads every document to the same result or error.  A
+    document over ``MAX_DOCUMENT_BYTES`` is refused before either route."""
+    text = data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass")
+    if len(text) > MAX_DOCUMENT_BYTES:
+        raise ParseError(f"document has more than the limit of {MAX_DOCUMENT_BYTES} bytes")
     try:
-        read = _read_canonical(data if isinstance(data, bytes) else data.encode("utf-8"))
+        read = _read_canonical(text)
     except Exception:  # the json.loads route reports whatever went wrong
         read = None
     return read if read is not None else _read_json(data)

@@ -9,17 +9,18 @@ instead of ``int`` when integral, a scan
 of all 2^n generator subset products instead of the sign calculus that
 picks the real structure's subset, or the rank of a realified linear
 system instead of the real-form theorem that gives the Majorana-Weyl
-dimensions, or a document object for the stdlib JSON encoder instead of
-the serializer's direct text) so that agreement between the two routes
-is meaningful.
+dimensions, or a document object for the stdlib JSON encoder, or one
+string per cell, instead of the serializer's compact text) so that
+agreement between the two routes is meaningful.
 Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import sympy
 
@@ -486,3 +487,55 @@ def to_json_dict(t: FiniteSpectralTriple, metadata: dict[str, str] | None = None
         "algebra_gens": [_matrix_to_block(a) for a in t.algebra_gens],
         "metadata": dict(sorted((metadata or {}).items())),
     }
+
+
+# --- the per-cell writer the compact form replaced ---------------------------------
+
+def per_cell_block_text(m: ExactMatrix, depth: int) -> str:
+    """Matrix block ``m`` as ``json.dumps(..., indent=2)`` writes it ``depth``
+    levels deep.  Rational strings need no JSON escaping."""
+    pad = "\n" + "  " * depth
+    key_pad = pad + "  "
+    cell_pad = key_pad + "  "
+    part_pad = cell_pad + "  "
+
+    def cell(re: object, im: object) -> str:
+        return f'{{{part_pad}"re": "{re}",{part_pad}"im": "{im}"{cell_pad}}}'
+
+    zero = cell(0, 0)
+    d = m.den
+    cells: list[str] = []
+    for row in m.sparse_rows:
+        col = 0
+        for j, re, im in row:
+            cells += [zero] * (j - col)
+            # str of an int, or of a lowest-terms Fraction: canonical either way
+            cells.append(cell(re, im) if d == 1 else cell(Fraction(re, d), Fraction(im, d)))
+            col = j + 1
+        cells += [zero] * (m.cols - col)
+    entries = f",{cell_pad}".join(cells)
+    return (f'{{{key_pad}"rows": {m.rows},{key_pad}"cols": {m.cols},'
+            f'{key_pad}"entries": [{cell_pad}{entries}{key_pad}]{pad}}}')
+
+
+def per_cell_document_bytes(t: FiniteSpectralTriple, metadata: Mapping[str, str] | None) -> bytes:
+    """The serializer's bytes as the per-cell writer built them: one string
+    per cell, zero or not."""
+    gens = "[]"
+    if t.algebra_gens:
+        gens = "[\n    " + ",\n    ".join(per_cell_block_text(g, 2) for g in t.algebra_gens) + "\n  ]"
+    chirality = "null" if t.chirality is None else per_cell_block_text(t.chirality, 1)
+    meta = json.dumps(dict(sorted((metadata or {}).items())), indent=2,
+                      ensure_ascii=True).replace("\n", "\n  ")
+    text = (
+        "{\n"
+        f'  "schema_version": {SCHEMA_VERSION},\n'
+        f'  "dim": {json.dumps(t.dim)},\n'
+        f'  "dirac": {per_cell_block_text(t.dirac, 1)},\n'
+        f'  "chirality": {chirality},\n'
+        f'  "real_structure_k": {per_cell_block_text(t.real_structure.k, 1)},\n'
+        f'  "algebra_gens": {gens},\n'
+        f'  "metadata": {meta}\n'
+        "}\n"
+    )
+    return text.encode("utf-8")

@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kocalc.cli as cli_module
 import kocalc.triple_io as triple_io
 from kocalc.cli import run_cli
 from kocalc.errors import InvalidArgument, InvalidTriple, ParseError, UnsupportedVersion
@@ -27,7 +31,9 @@ from kocalc.triple_io import (
 )
 from kocalc.triples import FiniteSpectralTriple, canonical_triple, twist_real_structure
 
-from oracles import to_json_dict
+from document_sweep import sweep as sweep_documents
+from oracles import per_cell_document_bytes, to_json_dict
+from test_cli import _env_with_src
 from test_cli_golden import write_inputs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -326,6 +332,53 @@ def test_serializer_matches_the_stdlib_encoder(case):
     assert back == t and back_meta == meta
 
 
+# --- the compact writer against the per-cell writer it replaced ----------------------
+
+_NASTY_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\u00fc\u03a9\U0001d11e'), max_size=5)
+
+
+def _blanked(m: ExactMatrix, blank: bool) -> ExactMatrix:
+    return ExactMatrix.zeros(m.rows, m.cols) if blank else m
+
+
+@st.composite
+def writer_cases(draw):
+    """``documents()`` with some blocks made all zero, and metadata that
+    needs escaping: quotes, backslashes, control characters, NUL included,
+    and text outside ASCII and outside the basic plane."""
+    t, meta = draw(documents())
+    blank = st.booleans()
+    t = dataclasses.replace(
+        t, dirac=_blanked(t.dirac, draw(blank)),
+        chirality=None if t.chirality is None else _blanked(t.chirality, draw(blank)),
+        algebra_gens=tuple(_blanked(g, draw(blank)) for g in t.algebra_gens))
+    meta.update(draw(st.dictionaries(_NASTY_TEXT, _NASTY_TEXT, max_size=3)))
+    return t, meta
+
+
+def _writer_agrees_with_the_oracle(t, meta) -> None:
+    data = serialize_triple(t, meta)
+    assert data == per_cell_document_bytes(t, meta)
+    assert triple_io._expanded(triple_io._compact_document(t, meta)) == data
+
+
+@settings(max_examples=150)
+@given(writer_cases())
+@example((canonical_triple(1, 1, "zero"), {"nul": "\x00", "\x00": "\\\""}))
+@example((canonical_triple(2, 0, "gamma1"), {}))  # D ends in a zero cell, K in a nonzero one
+@example((FiniteSpectralTriple(  # 1x1 blocks, the last cell zero or not
+    dim=1, algebra_gens=(ExactMatrix.zeros(1, 1), ExactMatrix.identity(1)),
+    dirac=ExactMatrix.zeros(1, 1), chirality=ExactMatrix.from_rows([[_HALF]]),
+    real_structure=Antiunitary(ExactMatrix.identity(1))), {"\u00fc": "\U0001d11e"}))
+def test_compact_writer_matches_the_per_cell_writer(case):
+    _writer_agrees_with_the_oracle(*case)
+
+
+def test_every_document_up_to_four_generators_writes_and_reads_back():
+    # canonical triples, their twists and their products: 420 documents
+    assert sweep_documents(4) == (420, [])
+
+
 # --- the canonical reader against the json.loads route --------------------------------
 
 SEED_HASHES = json.loads(
@@ -468,20 +521,89 @@ def test_document_dimension_bound(tmp_path, capsys):
                 parse_document(text)
             assert err.value.location == "dim"
             _same_on_both_routes(text)
-        # dim 2 factors are read, and their dim 4 product is not written
+        # dim 2 factors are read, and their dim 4 product is refused unbuilt
         a = tmp_path / "a.json"
         a.write_bytes(serialize_triple(canonical_triple(2, 0, "gamma1")))
         out = tmp_path / "out.json"
-        code = run_cli(["product", "--mode", "modified", str(a), str(a), "--out", str(out)])
-        assert code == 2 and not out.exists()
-        assert capsys.readouterr().err == (
-            "error: cannot write a document of dimension 4: the limit is 2\n")
+        verified = []
+        verify = cli_module.verify_product
+
+        def counting(*args, **kwargs):
+            verified.append(args)
+            return verify(*args, **kwargs)
+
+        with mock.patch.object(cli_module, "verify_product", counting):
+            code = run_cli(["product", "--mode", "modified", str(a), str(a), "--out", str(out)])
+            assert code == 2 and not out.exists() and verified == []
+            assert capsys.readouterr().err == (
+                "error: cannot write a document of dimension 4: the limit is 2\n")
+            # with nothing to write, the product is verified as before
+            assert run_cli(["product", "--mode", "modified", str(a), str(a)]) == 0
+            assert len(verified) == 1
         # a block larger than dim is measured too
         wide = FiniteSpectralTriple(dim=1, algebra_gens=(), dirac=ExactMatrix.zeros(3, 3),
                                     chirality=None,
                                     real_structure=Antiunitary(ExactMatrix.identity(1)))
         with pytest.raises(InvalidArgument, match="dimension 3"):
             serialize_triple(wide)
+
+
+def test_raw_nul_bytes_read_alike_on_both_routes():
+    t, meta = parse_document(_C20)
+    zero_cell = triple_io._ZERO_AND_SEP
+    for data in (
+        triple_io._compact_document(t, meta),  # every mark left unexpanded
+        _text_doc(_C20, zero_cell, b"\0"),  # one zero cell written as its mark
+        _text_doc(_C20, zero_cell, zero_cell + b"\0"),  # a mark beside a zero cell
+        _text_doc(_C20, b'"p": "2"', b'"p": "2\0"'),  # a raw NUL in a metadata value
+    ):
+        assert b"\0" in data
+        _same_on_both_routes(data)
+        assert not _accepted_by_canonical_reader(data)
+
+
+def test_document_byte_bound(tmp_path, capsys):
+    t, meta = canonical_triple(2, 0, "gamma1"), {"note": "\x00\u00fc"}
+    data = serialize_triple(t, meta)
+    with_gens = dataclasses.replace(t, algebra_gens=(ExactMatrix.identity(2),))
+    for triple in (t, with_gens):
+        size = len(serialize_triple(triple, meta))
+        # the length worked out from the compact form is exact
+        with mock.patch.object(triple_io, "MAX_DOCUMENT_BYTES", size):
+            serialize_triple(triple, meta)
+        with mock.patch.object(triple_io, "MAX_DOCUMENT_BYTES", size - 1):
+            with pytest.raises(InvalidArgument, match=(
+                    f"cannot write a document of {size} bytes: the limit is {size - 1}")):
+                serialize_triple(triple, meta)
+    path = tmp_path / "t.json"
+    path.write_bytes(data)
+    error = f"document has more than the limit of {len(data) - 1} bytes"
+    with mock.patch.object(triple_io, "MAX_DOCUMENT_BYTES", len(data) - 1):
+        for text in (data, data.decode()):
+            with pytest.raises(ParseError, match=error):
+                parse_document(text)
+        assert run_cli(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+    with mock.patch.object(triple_io, "MAX_DOCUMENT_BYTES", len(data)):
+        assert parse_document(data) == (t, meta)
+        assert run_cli(["validate", str(path)]) == 0
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+def test_an_endless_file_is_read_only_up_to_the_bound():
+    # In a child process under a 1 GiB address-space limit, so that a read
+    # without a bound fails there instead of filling this machine's memory.
+    code = ("import sys, kocalc.cli as cli, kocalc.triple_io as io\n"
+            "cli.MAX_DOCUMENT_BYTES = io.MAX_DOCUMENT_BYTES = 1000\n"
+            "sys.exit(cli.run_cli(['validate', '/dev/zero']))\n")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env_with_src(), timeout=120, preexec_fn=limit_memory)
+    assert (done.returncode, done.stderr) == (
+        2, "error: document has more than the limit of 1000 bytes\n")
 
 
 # hypothesis mutations of canonical documents, read on both routes
