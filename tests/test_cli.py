@@ -472,6 +472,26 @@ def test_cli_catches_named_errors_only():
     assert ValueError not in caught
 
 
+#: The exit code of every named error when a command stops on it.
+ERROR_EXIT_CODES = {
+    "ParseError": 2, "UnsupportedVersion": 2, "OddDimensionUnsupported": 2,
+    "TooManyGenerators": 2, "NoHermitianGenerator": 2, "InvalidArgument": 2,
+    "InvalidTriple": 1, "NoChirality": 1, "RestrictionUndefined": 1, "InvalidComponent": 1,
+    "NotSignInvolutive": 1, "IndefiniteSign": 1, "IncompleteSigns": 1, "NoTableMatch": 1,
+    "AdditivityViolation": 1, "RealStructureNotFound": 1, "NotUnitary": 1,
+    "InconsistentClassification": 1,
+}
+
+
+@pytest.mark.parametrize("name, code", sorted(ERROR_EXIT_CODES.items()))
+def test_each_named_error_exits_with_its_code(name, code, capsys, monkeypatch):
+    def failing(p, q):
+        raise getattr(kocalc.errors, name)("it failed")
+
+    monkeypatch.setattr(cli_module, "classify_algebra", failing)
+    assert run(capsys, "classify", "--p", "1", "--q", "1") == (code, "", "error: it failed\n")
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: kocalc.build_gammas(-1, 3), "p and q must be nonnegative"),
     (lambda: kocalc.classify_algebra(0, -2), "p and q must be nonnegative"),
