@@ -23,26 +23,7 @@ import sys
 from pathlib import Path
 
 from .clifford import classify_algebra, signature, theta_square_sign
-from .errors import (
-    AdditivityViolation,
-    InconsistentClassification,
-    IncompleteSigns,
-    IndefiniteSign,
-    InvalidArgument,
-    InvalidComponent,
-    InvalidTriple,
-    NoChirality,
-    NoHermitianGenerator,
-    NoTableMatch,
-    NotSignInvolutive,
-    NotUnitary,
-    OddDimensionUnsupported,
-    ParseError,
-    RealStructureNotFound,
-    RestrictionUndefined,
-    TooManyGenerators,
-    UnsupportedVersion,
-)
+from .errors import IncompleteSigns, KocalcError, NoTableMatch
 from .products import Incompatible, ProductMode, verify_product
 from .signcalc import (
     MATRIX_REPRESENTATIVES,
@@ -66,18 +47,6 @@ from .triples import (
     restrict_majorana_weyl,
     twist_real_structure,
     validate_triple,
-)
-
-_USAGE_ERRORS = (
-    ParseError, UnsupportedVersion, OddDimensionUnsupported, TooManyGenerators,
-    NoHermitianGenerator, InvalidArgument, FileNotFoundError, IsADirectoryError,
-    PermissionError,
-)
-_MATH_ERRORS = (
-    InvalidTriple, NoChirality, RestrictionUndefined, InvalidComponent,
-    NotSignInvolutive, IndefiniteSign, IncompleteSigns, NoTableMatch,
-    AdditivityViolation, RealStructureNotFound, NotUnitary,
-    InconsistentClassification,
 )
 
 
@@ -514,10 +483,10 @@ def run_cli(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         payload, code = args.cmd(args)
-    except _MATH_ERRORS as exc:
+    except KocalcError as exc:
         _err(f"error: {exc}")
-        return 1
-    except _USAGE_ERRORS as exc:
+        return exc.exit_code
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         _err(f"error: {exc}")
         return 2
     if args.json:

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 
 class KocalcError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``exit_code`` is
+    the command line's when a command stops on the error: 1 for a
+    mathematical failure, 2 for a usage or input error."""
+
+    exit_code = 1
 
 
 class InvalidArgument(KocalcError, ValueError):
@@ -18,6 +22,8 @@ class InvalidArgument(KocalcError, ValueError):
     It is also a ``ValueError``, so a caller that catches ``ValueError``
     for a bad argument keeps working.
     """
+
+    exit_code = 2
 
 
 # --- exact linear algebra ---------------------------------------------------
@@ -36,9 +42,13 @@ class NotUnitary(KocalcError, ValueError):
 class OddDimensionUnsupported(KocalcError):
     """Gamma-matrix construction requires an even number of generators."""
 
+    exit_code = 2
+
 
 class TooManyGenerators(KocalcError):
     """Gamma-matrix construction is bounded in the number of generators."""
+
+    exit_code = 2
 
 
 class RealStructureNotFound(KocalcError):
@@ -47,6 +57,8 @@ class RealStructureNotFound(KocalcError):
 
 class NoHermitianGenerator(KocalcError):
     """A hermitian generator was requested but every generator is anti-hermitian."""
+
+    exit_code = 2
 
 
 class InconsistentClassification(KocalcError):
@@ -103,6 +115,8 @@ class AdditivityViolation(KocalcError):
 class ParseError(KocalcError):
     """A triple document is malformed; carries the JSON location."""
 
+    exit_code = 2
+
     def __init__(self, message: str, location: str | None = None):
         self.location = location
         if location:
@@ -113,6 +127,8 @@ class ParseError(KocalcError):
 
 class UnsupportedVersion(KocalcError):
     """The document declares a schema version this package does not read."""
+
+    exit_code = 2
 
 
 class InvalidTriple(KocalcError):

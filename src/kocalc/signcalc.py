@@ -2,13 +2,16 @@
 
 Everything here works purely on table rows: given the classes sigma1 and
 sigma2 of the factors, the composition rules decide whether a product
-exists, and if so which class it lands in.  A separate helper replays
-the even-even part of the grid against actual gamma-matrix
-representatives so the two routes can be compared.
+exists, and if so which class it lands in.  One replay multiplies
+explicit triples and judges each product against the calculus cell of
+the classes it is given; ``matrix_calculus_agreement`` runs it on the
+even-even representatives, and the signature sweep in ``tests/`` on every
+canonical triple.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import Any
 
@@ -21,6 +24,7 @@ from .products import (
 )
 from .triples import (
     EPSILON_TABLE,
+    FiniteSpectralTriple,
     SignTriple,
     _validate,
     canonical_triple,
@@ -271,38 +275,35 @@ class AgreementRow:
     consistent: bool
 
 
+def _replay(factors: Iterable[tuple[int, FiniteSpectralTriple]]) -> Iterator[AgreementRow]:
+    """Every product of two ``(class, triple)`` factors in both modes, by
+    mode, first factor and second, against the calculus cell of the stated
+    classes: a compatible entry must be confirmed with its class, an
+    incompatible one exhibited or not falsifiable.  Each factor is
+    validated once."""
+    measured = [(sigma, t, _validate(t)) for sigma, t in factors]
+    for mode in ProductMode:
+        for sigma1, t1, r1 in measured:
+            entries = enumerate_compatible(sigma1, mode)
+            for sigma2, t2, r2 in measured:
+                entry = entries[sigma2]
+                v = verify_product(t1, t2, mode, (r1, r2))
+                if entry.compatible:
+                    consistent = (v.status == "confirmed-compatible"
+                                  and v.matrix_ko == entry.sigma_product)
+                else:
+                    consistent = v.status in ("confirmed-incompatible", "not-falsifiable")
+                yield AgreementRow(mode, sigma1, sigma2, entry, v.status, v.matrix_ko, consistent)
+
+
 def matrix_calculus_agreement() -> tuple[AgreementRow, ...]:
     """Replay every even-even cell on dim <= 4 canonical representatives.
 
     Representatives use D = G_1 where a hermitian generator exists
-    ((0,2) has none and keeps D = 0).  A cell is consistent when a
-    compatible entry is confirmed with the additive class at matrix
-    level, and an incompatible entry is either exhibited concretely or
-    not falsifiable because a component D vanishes.  Each representative
-    is validated and measured once, not once per cell.
+    ((0,2) has none and keeps D = 0), so an incompatible cell may be
+    not falsifiable because a component D vanishes.
     """
-    rows: list[AgreementRow] = []
-    triples = {
-        sigma: canonical_triple(p, q, "gamma1" if p >= 1 else "zero")
+    return tuple(_replay(
+        (sigma, canonical_triple(p, q, "gamma1" if p >= 1 else "zero"))
         for sigma, (p, q) in MATRIX_REPRESENTATIVES.items()
-    }
-    reports = {sigma: _validate(t) for sigma, t in triples.items()}
-    for mode in ProductMode:
-        for sigma1, t1 in triples.items():
-            entries = enumerate_compatible(sigma1, mode)
-            for sigma2, t2 in triples.items():
-                entry = entries[sigma2]
-                v = verify_product(t1, t2, mode, (reports[sigma1], reports[sigma2]))
-                if entry.compatible:
-                    consistent = (
-                        v.status == "confirmed-compatible"
-                        and v.matrix_ko == entry.sigma_product
-                    )
-                else:
-                    consistent = v.status in ("confirmed-incompatible", "not-falsifiable")
-                rows.append(AgreementRow(
-                    mode=mode, sigma1=sigma1, sigma2=sigma2, entry=entry,
-                    verification_status=v.status, matrix_ko=v.matrix_ko,
-                    consistent=consistent,
-                ))
-    return tuple(rows)
+    ))

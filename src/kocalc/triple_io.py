@@ -391,10 +391,13 @@ def _read_json(data: bytes | str) -> tuple[FiniteSpectralTriple, dict[str, str]]
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not valid UTF-8: {exc}") from exc
     try:
-        obj = json.loads(data, object_pairs_hook=_unique_keys)
+        obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"document is not valid JSON: {exc}") from exc
-    return _document_from_json(obj)
+    read = _document_from_json(obj)
+    # A repeated name is looked for only in a document that reads otherwise.
+    json.loads(data, object_pairs_hook=_unique_keys)
+    return read
 
 
 def parse_document(data: bytes | str) -> tuple[FiniteSpectralTriple, dict[str, str]]:

@@ -1,11 +1,11 @@
 """Every canonical triple crossed with every other, checked against the calculus.
 
-The factors are the canonical triples of Cl(p,q) with p+q even and at
-most ``max_generators``, in both Dirac modes (D = 0, and D = gamma_1 where
-p >= 1).  Each ordered pair is multiplied in both product modes, and each
-cell is judged as ``matrix_calculus_agreement`` judges it: a compatible
-entry must be confirmed with the calculus's class, an incompatible one
-exhibited or not falsifiable.  Each factor is validated once.
+A thin runner over the library's replay, ``kocalc.signcalc._replay``, which
+``matrix_calculus_agreement`` also runs.  The factors are the canonical
+triples of Cl(p,q) with p+q even and at most ``max_generators``, in both
+Dirac modes (D = 0, and D = gamma_1 where p >= 1), each of class
+(p - q) mod 8.  The runner counts the statuses and names each disagreeing
+cell by its two factors.
 
 The tier-1 suite runs p+q <= 8; the larger sweep runs as its own step:
 
@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from itertools import product
 
-from kocalc.products import ProductMode, verify_product
-from kocalc.signcalc import enumerate_compatible
-from kocalc.triples import canonical_triple, validate_triple
+from kocalc.products import ProductMode
+from kocalc.signcalc import _replay
+from kocalc.triples import canonical_triple
 
 
 def canonical_factors(max_generators: int) -> list[tuple[tuple[int, int, str], object]]:
@@ -34,26 +35,17 @@ def canonical_factors(max_generators: int) -> list[tuple[tuple[int, int, str], o
 def sweep(max_generators: int) -> tuple[Counter, list[str]]:
     """The count of cells per verification status, and every cell where
     the matrices and the calculus disagree."""
-    factors = [(key, t, validate_triple(t)) for key, t in canonical_factors(max_generators)]
+    factors = canonical_factors(max_generators)
+    names = [f"Cl({p},{q}) {d}" for (p, q, d), _t in factors]
+    rows = _replay(((p - q) % 8, t) for (p, q, _d), t in factors)
     statuses: Counter = Counter()
     disagreeing: list[str] = []
-    for mode in ProductMode:
-        for (p1, q1, d1), t1, r1 in factors:
-            entries = enumerate_compatible((p1 - q1) % 8, mode)
-            for (p2, q2, d2), t2, r2 in factors:
-                entry = entries[(p2 - q2) % 8]
-                v = verify_product(t1, t2, mode, (r1, r2))
-                statuses[v.status] += 1
-                if entry.compatible:
-                    consistent = (v.status == "confirmed-compatible"
-                                  and v.matrix_ko == entry.sigma_product)
-                else:
-                    consistent = v.status in ("confirmed-incompatible", "not-falsifiable")
-                if not consistent:
-                    disagreeing.append(
-                        f"Cl({p1},{q1}) {d1} x Cl({p2},{q2}) {d2} {mode.value}: "
-                        f"{v.status} ko {v.matrix_ko}, calculus {entry.status} "
-                        f"{entry.sigma_product}")
+    for (mode, first, second), r in zip(product(ProductMode, names, names), rows, strict=True):
+        statuses[r.verification_status] += 1
+        if not r.consistent:
+            disagreeing.append(
+                f"{first} x {second} {mode.value}: {r.verification_status} ko {r.matrix_ko}, "
+                f"calculus {r.entry.status} {r.entry.sigma_product}")
     return statuses, disagreeing
 
 

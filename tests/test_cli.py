@@ -461,15 +461,20 @@ def test_commands_call_the_library_through_module_names(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_cli_catches_named_errors_only():
+def test_cli_catches_named_errors_only(capsys, monkeypatch):
     # a bare ValueError or other built-in from the library is a bug, not a
     # usage error; only file-access errors come from outside the package
-    from kocalc.errors import KocalcError
+    for error in (FileNotFoundError, IsADirectoryError, PermissionError,
+                  OSError, ValueError, TypeError, KeyError):
+        def failing(p, q):
+            raise error("it failed")
 
-    caught = cli_module._USAGE_ERRORS + cli_module._MATH_ERRORS
-    outside = {c for c in caught if not issubclass(c, KocalcError)}
-    assert outside == {FileNotFoundError, IsADirectoryError, PermissionError}
-    assert ValueError not in caught
+        monkeypatch.setattr(cli_module, "classify_algebra", failing)
+        if error in (FileNotFoundError, IsADirectoryError, PermissionError):
+            assert run(capsys, "classify", "--p", "1", "--q", "1") == (2, "", "error: it failed\n")
+        else:
+            with pytest.raises(error):
+                run_cli(["classify", "--p", "1", "--q", "1"])
 
 
 #: The exit code of every named error when a command stops on it.
@@ -479,14 +484,23 @@ ERROR_EXIT_CODES = {
     "InvalidTriple": 1, "NoChirality": 1, "RestrictionUndefined": 1, "InvalidComponent": 1,
     "NotSignInvolutive": 1, "IndefiniteSign": 1, "IncompleteSigns": 1, "NoTableMatch": 1,
     "AdditivityViolation": 1, "RealStructureNotFound": 1, "NotUnitary": 1,
-    "InconsistentClassification": 1,
+    "InconsistentClassification": 1, "DimensionMismatch": 1, "KocalcError": 1,
 }
+
+
+def test_every_named_error_has_an_exit_code():
+    named = {name for name, c in vars(kocalc.errors).items()
+             if isinstance(c, type) and issubclass(c, kocalc.errors.KocalcError)}
+    assert named == set(ERROR_EXIT_CODES)
 
 
 @pytest.mark.parametrize("name, code", sorted(ERROR_EXIT_CODES.items()))
 def test_each_named_error_exits_with_its_code(name, code, capsys, monkeypatch):
+    error = getattr(kocalc.errors, name)
+    assert error.exit_code == code
+
     def failing(p, q):
-        raise getattr(kocalc.errors, name)("it failed")
+        raise error("it failed")
 
     monkeypatch.setattr(cli_module, "classify_algebra", failing)
     assert run(capsys, "classify", "--p", "1", "--q", "1") == (code, "", "error: it failed\n")

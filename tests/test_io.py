@@ -508,6 +508,49 @@ def test_duplicate_keys_are_a_parse_error_naming_the_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: duplicate key 'dim' in a JSON object\n"
 
 
+def test_a_repeated_key_is_reported_only_when_nothing_else_is_wrong():
+    # "dim" given twice, and a metadata value that is a number
+    data = _text_doc(_text_doc(_C20, b'"dim": 2,', b'"dim": 7,\n  "dim": 2,'),
+                     b'"p": "2"', b'"p": 1')
+    with pytest.raises(ParseError) as err:
+        parse_document(data)
+    assert (err.value.location, str(err.value)) == (
+        "metadata", "metadata: metadata must map strings to strings")
+
+
+def _edited(**changes) -> bytes:
+    """The (2,0) golden document with its top-level values replaced."""
+    return json.dumps({**json.loads(_C20), **changes}).encode()
+
+
+_DIRAC = json.loads(_C20)["dirac"]
+
+
+@pytest.mark.parametrize("data, error, location", [
+    (_edited(dirac=[]), "matrix block must be an object, got list", "dirac"),
+    *((_edited(dirac={k: v for k, v in _DIRAC.items() if k != key}),
+       f"matrix block missing key {key!r}", "dirac") for key in ("rows", "cols", "entries")),
+    (_edited(dirac={**_DIRAC, "size": 2}), "matrix block has unknown keys ['size']", "dirac"),
+    (b"[]", "document root must be an object", "$"),
+    (_edited(algebra_gens={}), "algebra_gens must be a list", "algebra_gens"),
+    (_edited(algebra_gens=[{"rows": 1, "cols": 1, "entries": [{"re": "1", "im": "0"}]}]),
+     "algebra_gens[0] must be 2x2", "algebra_gens[0]"),
+], ids=["block-not-object", "no-rows", "no-cols", "no-entries", "unknown-block-key",
+        "root-not-object", "gens-not-list", "generator-size"])
+def test_malformed_structure_is_a_parse_error_with_its_location(data, error, location):
+    assert not _accepted_by_canonical_reader(data)
+    with pytest.raises(ParseError) as err:
+        parse_document(data)
+    assert (err.value.location, str(err.value)) == (location, f"{location}: {error}")
+
+
+def test_validate_exits_2_on_a_root_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_bytes(b"[]")
+    assert run_cli(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: $: document root must be an object\n")
+
+
 def test_document_dimension_bound(tmp_path, capsys):
     t = canonical_triple(2, 2, "gamma1")  # dim 4
     data = serialize_triple(t)

@@ -140,6 +140,13 @@ def test_predicted_signs_requires_enough_data():
         predicted_signs(SignTriple(1, 1, 1), SignTriple(1, 1, None), ProductMode.MODIFIED)
 
 
+def test_predicted_signs_needs_the_first_factors_chirality_sign():
+    for mode in ProductMode:
+        with pytest.raises(IncompleteSigns) as err:
+            predicted_signs(SignTriple(1, 1, None), SignTriple(1, 1, 1), mode)
+        assert str(err.value) == "composition needs eps'' of the first factor"
+
+
 def test_predicted_signs_odd_second_factor_keeps_odd_shape():
     s1 = EPSILON_TABLE[0]
     s2 = EPSILON_TABLE[1]

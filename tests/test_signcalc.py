@@ -1,6 +1,7 @@
 """Pure sign-table calculus: grids, annotations, scenarios, consistency scans."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -280,3 +281,43 @@ def test_every_canonical_triple_up_to_eight_generators_agrees_with_the_calculus(
     assert disagreeing == []
     assert statuses == {"confirmed-compatible": 1936, "confirmed-incompatible": 400,
                         "not-falsifiable": 1536}
+
+
+_COMPATIBLE = signcalc_module.CompatibilityEntry(0, 0, ProductMode.NATURAL, compatible=True,
+                                                 sigma_product=2)
+_INCOMPATIBLE = signcalc_module.CompatibilityEntry(0, 0, ProductMode.NATURAL, compatible=False,
+                                                   violated_relation="a relation fails")
+
+
+@pytest.mark.parametrize("entry, status, ko, consistent", [
+    (_COMPATIBLE, "confirmed-compatible", 2, True),
+    (_COMPATIBLE, "confirmed-compatible", 6, False),
+    (_COMPATIBLE, "confirmed-incompatible", None, False),
+    (_COMPATIBLE, "not-falsifiable", None, False),
+    (_COMPATIBLE, "disagreement", None, False),
+    (_INCOMPATIBLE, "confirmed-compatible", 2, False),
+    (_INCOMPATIBLE, "confirmed-incompatible", None, True),
+    (_INCOMPATIBLE, "not-falsifiable", None, True),
+    (_INCOMPATIBLE, "disagreement", None, False),
+])
+def test_the_replay_judges_each_status_against_each_kind_of_entry(
+        entry, status, ko, consistent, monkeypatch):
+    monkeypatch.setattr(signcalc_module, "enumerate_compatible", lambda sigma1, mode: (entry,) * 8)
+    monkeypatch.setattr(signcalc_module, "verify_product",
+                        lambda *args: SimpleNamespace(status=status, matrix_ko=ko))
+    rows = list(signcalc_module._replay([(5, canonical_triple(1, 1))]))
+    assert [(r.mode, r.sigma1, r.sigma2) for r in rows] == [(m, 5, 5) for m in ProductMode]
+    assert [(r.entry, r.verification_status, r.matrix_ko, r.consistent) for r in rows] == [
+        (entry, status, ko, consistent)] * 2
+
+
+def test_the_sweep_names_both_factors_of_a_disagreeing_cell(monkeypatch):
+    monkeypatch.setattr(signcalc_module, "verify_product",
+                        lambda *args: SimpleNamespace(status="disagreement", matrix_ko=None))
+    statuses, disagreeing = sweep(2)
+    assert statuses == {"disagreement": 2 * 5 * 5}
+    assert len(disagreeing) == 50
+    assert disagreeing[1] == (
+        "Cl(0,2) zero x Cl(1,1) zero natural: disagreement ko None, calculus incompatible None")
+    assert disagreeing[-1] == (
+        "Cl(2,0) gamma1 x Cl(2,0) gamma1 modified: disagreement ko None, calculus compatible 4")
