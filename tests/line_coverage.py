@@ -23,6 +23,8 @@ import threading
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "kocalc"
 
@@ -52,6 +54,17 @@ def statements(source: str) -> dict[int, int]:
     return owner
 
 
+class NoDeadlines:
+    """A pytest plugin that lifts hypothesis deadlines before any test
+    module is imported."""
+
+    @staticmethod
+    def pytest_configure(config) -> None:
+        from hypothesis import settings
+        settings.register_profile("line-coverage", deadline=None)
+        settings.load_profile("line-coverage")
+
+
 def main(pytest_args: list[str]) -> int:
     root = str(PACKAGE) + "/"
     executed: dict[str, set[int]] = defaultdict(set)
@@ -69,18 +82,15 @@ def main(pytest_args: list[str]) -> int:
             keep = wanted[name] = name.startswith(root)
         return local if keep else None
 
-    from hypothesis import settings
-    settings.register_profile("line-coverage", deadline=None)
-    settings.load_profile("line-coverage")
-    import pytest
-
+    # Set before pytest imports kocalc, so that module bodies are traced too.
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *(pytest_args or [str(REPO / "tests")])])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *(pytest_args or [str(REPO / "tests")])],
+                           plugins=[NoDeadlines()])
     finally:
         sys.settrace(None)
-        threading.settrace(None)  # type: ignore[arg-type]
+        threading.settrace(None)
 
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
